@@ -1,10 +1,11 @@
 """Command-line front end.
 
     mrfrf generate|simulate|identify|validate|report --scenario <path>
-          --out <dir> [--seed N] [--bins a..b]
+          --out <dir> [--seed N]
 
 Exit codes: 0 success, 1 validation failure, 2 usage/config error,
-3 data error.  All outputs are deterministic for a fixed scenario and seed.
+3 data error.  Any other exception is a program error and propagates with
+its traceback.  All outputs are deterministic for a fixed scenario and seed.
 """
 
 import argparse
@@ -49,8 +50,6 @@ def _parser():
     common(sp)
     sp.add_argument("--data", default=None,
                     help="directory holding the signal CSVs (default: --out)")
-    sp.add_argument("--bins", default=None,
-                    help="slow-bin range a..b to report (default: all)")
     sp = sub.add_parser("validate", help="run the analytic self-check suites")
     sp.add_argument("--scenario", required=False, default=None)
     sp.add_argument("--out", required=True)
@@ -102,19 +101,6 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _parse_bins(text, n_bins):
-    if text is None:
-        return None
-    try:
-        a, b = text.split("..")
-        a, b = int(a), int(b)
-    except ValueError:
-        raise ConfigError(f"--bins must look like a..b, got {text!r}") from None
-    if not 0 <= a <= b < n_bins:
-        raise ConfigError(f"bin range {a}..{b} outside 0..{n_bins - 1}")
-    return a, b
-
-
 def cmd_identify(args):
     scenario = _load(args.scenario, args.seed)
     data_dir = args.data or args.out
@@ -131,7 +117,6 @@ def cmd_identify(args):
     pi = scenario.ident_periods
     result = identify(u_h.last_periods(pi), r_h.last_periods(pi),
                       y_l.last_periods(pi), F, scenario.lrm)
-    span = _parse_bins(args.bins, result.n_slow_bins)
     frf = result.frf
     for i in range(frf.n_outputs):
         for j in range(frf.n_inputs):
@@ -141,8 +126,6 @@ def cmd_identify(args):
     mio.write_json(os.path.join(args.out, "diagnostics.json"),
                    mio.diagnostics_to_dict(result))
     res = result.diagnostics.residual
-    if span is not None:
-        res = res[span[0]:span[1] + 1]
     finite = res[np.isfinite(res)]
     print(f"identified {frf.n_bins} fast bins "
           f"({int(result.flags.sum())} flagged)")
@@ -225,9 +208,6 @@ def main(argv=None):
     except MrfrfError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def entry():

@@ -225,12 +225,3 @@ def identify(u_h, r_h, y_l, factor, config, condition_threshold=1e10):
 def n_one(record):
     """Samples in one period of a record."""
     return record.n_samples // (record.n_periods or 1)
-
-
-def single_rate_plant_estimate(sens, ps_row):
-    """Direct single-rate indirect estimate: ps_row @ sens^-1 per bin.
-
-    With factor 1 the lifted pipeline reduces to this computation exactly.
-    """
-    row, _, _ = first_row_lifted_P(sens, ps_row)
-    return row

@@ -1,4 +1,4 @@
-"""File formats: signal/spectrum/FRF CSV, scenario JSON, diagnostics JSON.
+"""File formats: signal/FRF CSV, scenario JSON, diagnostics JSON.
 
 All writers are deterministic for fixed inputs (floats via repr, sorted JSON
 keys, \n line endings), so identical runs produce byte-identical files.
@@ -61,24 +61,12 @@ def read_signal_csv(path, sample_time, rate_tag=FAST, n_periods=None):
             raise DataFormatError(
                 f"{path}: row {line_no} is not numeric", row=line_no
             ) from None
+    finite = np.isfinite(data).all(axis=0)
+    if not finite.all():
+        line_no = rows[1 + int(np.argmin(finite))][0]
+        raise DataFormatError(f"{path}: row {line_no} is not finite",
+                              row=line_no)
     return SignalRecord(data, sample_time, rate_tag, n_periods=n_periods)
-
-
-def write_spectrum_csv(path, spectrum):
-    """Columns: k, freq_hz, re_ch0, im_ch0, ..."""
-    head = ["k", "freq_hz"]
-    for c in range(spectrum.n_channels):
-        head += [f"re_ch{c}", f"im_ch{c}"]
-    freqs = spectrum.freqs_hz()
-    lines = [_VERSION_LINE, ",".join(head)]
-    for k in range(spectrum.n_bins):
-        row = [str(k), _fmt(freqs[k])]
-        for c in range(spectrum.n_channels):
-            v = spectrum.values[c, k]
-            row += [_fmt(v.real), _fmt(v.imag)]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
 
 
 def write_frf_entry_csv(path, frf, i, j, flags=None):
@@ -152,6 +140,17 @@ def diagnostics_to_dict(result):
 #           "half_window": 30, "denominator": "diagonal"},
 #  "ts": 9.920634920634922e-06, "periods": 3, "ident_periods": 2, "seed": 1234}
 
+def _field(doc, key, convert, default, section=""):
+    """doc[key] (or the default) passed through convert; a value that convert
+    rejects is a ConfigError naming the field."""
+    value = doc.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"scenario field {section + key!r} has an invalid "
+                          f"value {value!r}") from None
+
+
 def _system_from_doc(doc, ts, role):
     if doc is None:
         return None
@@ -164,14 +163,17 @@ def _system_from_doc(doc, ts, role):
             return benchmark_controller(ts, variant)
         raise ConfigError(f"no presets for role {role!r}")
     if isinstance(doc, dict):
-        return system_from_dict(doc)
+        try:
+            return system_from_dict(doc)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{role} system document is invalid: {e}") from None
     raise ConfigError(f"{role} must be a system document or a preset reference")
 
 
 def scenario_from_dict(doc):
     try:
-        ts = float(doc.get("ts", BENCH_FAST_TS))
-        factor = int(doc.get("F", BENCH_FACTOR))
+        ts = _field(doc, "ts", float, BENCH_FAST_TS)
+        factor = _field(doc, "F", int, BENCH_FACTOR)
         plant = _system_from_doc(doc["plant"], ts, "plant")
         controller = _system_from_doc(doc["controller"], ts * factor,
                                       "controller")
@@ -180,35 +182,36 @@ def scenario_from_dict(doc):
     filters = _system_from_doc(doc.get("filters"), ts, "filters")
     nd = doc.get("noise", {})
     shaping = _system_from_doc(nd.get("H"), ts, "noise shaping")
-    noise = NoiseSpec(eh_std=float(nd.get("eh_std", 0.0)),
-                      el_std=float(nd.get("el_std", 0.0)),
-                      dh_std=float(nd.get("dh_std", 0.0)),
-                      dh_channel=int(nd.get("dh_channel", 1)),
+    noise = NoiseSpec(eh_std=_field(nd, "eh_std", float, 0.0, "noise."),
+                      el_std=_field(nd, "el_std", float, 0.0, "noise."),
+                      dh_std=_field(nd, "dh_std", float, 0.0, "noise."),
+                      dh_channel=_field(nd, "dh_channel", int, 1, "noise."),
                       shaping=shaping)
     loop = MultirateLoopSpec(plant, controller, factor,
                              input_filters=filters, noise=noise)
     ed = doc.get("excitation", {})
-    seed = int(doc.get("seed", 1234))
+    seed = _field(doc, "seed", int, 1234)
     excitation = MultisineSpec(
         n_channels=plant.n_inputs,
-        n_samples=int(ed.get("n_samples", BENCH_SAMPLES)),
+        n_samples=_field(ed, "n_samples", int, BENCH_SAMPLES, "excitation."),
         sample_time=ts,
-        rms=tuple(ed.get("rms", BENCH_RMS[:plant.n_inputs])),
-        seed=int(ed.get("seed", seed)),
+        rms=_field(ed, "rms", lambda v: np.asarray(v, dtype=float),
+                   BENCH_RMS[:plant.n_inputs], "excitation."),
+        seed=_field(ed, "seed", int, seed, "excitation."),
         phase_scheme=ed.get("scheme", "random"),
         excite_dc=bool(ed.get("excite_dc", False)),
     )
     ld = doc.get("lrm", {})
     lrm = LocalModelConfig(
-        degree_num=int(ld.get("degree_num", 3)),
-        degree_transient=int(ld.get("degree_transient", 3)),
-        degree_den=int(ld.get("degree_den", 3)),
-        half_window=int(ld.get("half_window", 30)),
+        degree_num=_field(ld, "degree_num", int, 3, "lrm."),
+        degree_transient=_field(ld, "degree_transient", int, 3, "lrm."),
+        degree_den=_field(ld, "degree_den", int, 3, "lrm."),
+        half_window=_field(ld, "half_window", int, 30, "lrm."),
         denominator=ld.get("denominator", "diagonal"),
     )
     return BenchmarkScenario(loop=loop, excitation=excitation, lrm=lrm,
-                             periods=int(doc.get("periods", 3)),
-                             ident_periods=int(doc.get("ident_periods", 2)),
+                             periods=_field(doc, "periods", int, 3),
+                             ident_periods=_field(doc, "ident_periods", int, 2),
                              seed=seed)
 
 
@@ -260,7 +263,7 @@ def load_scenario(path):
         raise ConfigError(f"scenario file is not valid JSON: {e}") from None
     if isinstance(doc, dict) and "preset" in doc and "plant" not in doc:
         return build_benchmark_scenario(doc["preset"],
-                                        seed=int(doc.get("seed", 1234)))
+                                        seed=_field(doc, "seed", int, 1234))
     return scenario_from_dict(doc)
 
 

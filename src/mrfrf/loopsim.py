@@ -14,7 +14,7 @@ import numpy as np
 from . import _accel
 from .errors import LtiError, RateError, SimulationError
 from .lti import (RationalTF, StateSpace, assert_stable, benchmark_controller,
-                  to_state_space)
+                  filter_signal, to_state_space)
 from .multirate import FAST, SLOW, SignalRecord
 
 
@@ -54,19 +54,11 @@ class MultirateLoopSpec:
 
     @property
     def n_inputs(self):
-        return _n_inputs(self.plant)
+        return self.plant.n_inputs
 
     @property
     def n_outputs(self):
-        return _n_outputs(self.plant)
-
-
-def _n_inputs(sys):
-    return sys.n_inputs
-
-
-def _n_outputs(sys):
-    return sys.n_outputs
+        return self.plant.n_outputs
 
 
 @dataclass(frozen=True)
@@ -131,8 +123,6 @@ def simulate(spec, r_h, periods=1, seed=0, check_stability=True):
     if spec.noise.eh_std > 0:
         e = spec.noise.eh_std * rng_eh.standard_normal((ny, n_fast))
         if spec.noise.shaping is not None:
-            from .lti import filter_signal
-
             shaped = filter_signal(spec.noise.shaping,
                                    SignalRecord(e, P.sample_time, FAST))
             e = shaped.data
@@ -155,24 +145,18 @@ def simulate(spec, r_h, periods=1, seed=0, check_stability=True):
     except np.linalg.LinAlgError:
         raise SimulationError("loop is ill-posed: I + Dp Dw Dc is singular") from None
 
-    def pad(ss):
-        if ss.n_states:
-            return (np.ascontiguousarray(ss.A), np.ascontiguousarray(ss.B),
-                    np.ascontiguousarray(ss.C), np.ascontiguousarray(ss.D))
-        return (np.zeros((1, 1)), np.zeros((1, ss.n_inputs)),
-                np.zeros((ss.n_outputs, 1)), np.ascontiguousarray(ss.D))
+    def matrices(ss):
+        return tuple(np.ascontiguousarray(M) for M in (ss.A, ss.B, ss.C, ss.D))
 
-    Ap, Bp, Cp, Dp = pad(P)
-    Aw, Bw, Cw, Dw = pad(W)
-    Ac, Bc, Cc, Dc = pad(C)
     u, y, yl, status = _accel.multirate_loop(
-        Ap, Bp, Cp, Dp, Aw, Bw, Cw, Dw, Ac, Bc, Cc, Dc,
+        *matrices(P), *matrices(W), *matrices(C),
         np.ascontiguousarray(minv), F,
         np.ascontiguousarray(r.T), eps_h, d, eps_l,
     )
     if status >= 0:
         raise SimulationError(
-            f"state norm overflowed at slow step {status}; loop unstable"
+            f"plant state overflowed or became non-finite at slow step "
+            f"{status}; loop unstable or input not finite"
         )
     ts = P.sample_time
     return SimulationOutput(

@@ -12,9 +12,7 @@ the center are basis-independent.  Windows wrap circularly because DFT
 spectra are periodic in the bin index.
 """
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +27,6 @@ class LocalModelConfig:
     degree_den: int = 3
     half_window: int = 30
     denominator: str = "diagonal"  # 'diagonal' (per output row) or 'full'
-    normalize_local_variable: bool = True
     condition_threshold: float = 1e12
 
     def __post_init__(self):
@@ -69,15 +66,6 @@ class LocalFitResult:
     @property
     def failed(self):
         return self.error is not None
-
-
-def _window_indices(k, n_w, n_bins, bin_mask=None):
-    rs = np.arange(-n_w, n_w + 1)
-    idx = (k + rs) % n_bins
-    if bin_mask is not None:
-        keep = np.asarray(bin_mask, dtype=bool)[idx]
-        rs, idx = rs[keep], idx[keep]
-    return rs, idx
 
 
 _NULL_LEAK_TOL = 1e-7
@@ -120,8 +108,7 @@ def _solve(A, b, watched):
 def _fit_diagonal(Z, R, k, config, rs, idx):
     n_z = Z.shape[0]
     n_r = R.shape[0]
-    rho = rs / config.half_window if config.normalize_local_variable \
-        else rs.astype(float)
+    rho = rs / config.half_window
     rn, rm, rd = config.degree_num, config.degree_transient, config.degree_den
     n_cols = n_r * (rn + 1) + (rm + 1) + rd
     if len(rs) < n_cols:
@@ -158,8 +145,7 @@ def _fit_diagonal(Z, R, k, config, rs, idx):
 def _fit_full(Z, R, k, config, rs, idx):
     n_z = Z.shape[0]
     n_r = R.shape[0]
-    rho = rs / config.half_window if config.normalize_local_variable \
-        else rs.astype(float)
+    rho = rs / config.half_window
     rn, rm, rd = config.degree_num, config.degree_transient, config.degree_den
     n_cols = n_z * n_r * (rn + 1) + n_z * (rm + 1) + n_z * n_z * rd
     n_rows = len(rs) * n_z
@@ -200,7 +186,7 @@ def _fit_full(Z, R, k, config, rs, idx):
     return response, transient, res, cond
 
 
-def fit_local(Z, R, k, config, bin_mask=None):
+def fit_local(Z, R, k, config):
     """Fit the local model around center bin k.
 
     Z has shape (n_z, M) (stacked outputs), R has shape (n_r, M); both are
@@ -213,7 +199,8 @@ def fit_local(Z, R, k, config, bin_mask=None):
     n_bins = Z.shape[1]
     if R.shape[1] != n_bins:
         raise LocalFitError("Z and R must share the same bin grid")
-    rs, idx = _window_indices(k, config.half_window, n_bins, bin_mask)
+    rs = np.arange(-config.half_window, config.half_window + 1)
+    idx = (k + rs) % n_bins
     fitter = _fit_diagonal if config.denominator == "diagonal" else _fit_full
     response, transient, res, cond = fitter(Z, R, k, config, rs, idx)
     fallback = False
@@ -237,24 +224,17 @@ def _failed_result(k, n_z, n_r, message):
                           np.empty(0, dtype=int), error=message)
 
 
-def sweep_bins(Z, R, bins, config, bin_mask=None):
+def sweep_bins(Z, R, bins, config):
     """Independent local fits at each requested bin, in input order.
 
     Per-bin failures are recorded in the corresponding result instead of
-    aborting the sweep.  Setting MRFRF_THREADS > 1 fits bins concurrently;
-    results are ordered by the input bin order either way.
+    aborting the sweep.
     """
-    bins = list(bins)
     n_z, n_r = Z.shape[0], R.shape[0]
-
-    def one(k):
+    results = []
+    for k in bins:
         try:
-            return fit_local(Z, R, int(k), config, bin_mask)
+            results.append(fit_local(Z, R, int(k), config))
         except LocalFitError as e:
-            return _failed_result(int(k), n_z, n_r, str(e))
-
-    workers = int(os.environ.get("MRFRF_THREADS", "1") or "1")
-    if workers > 1 and len(bins) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, bins))
-    return [one(k) for k in bins]
+            results.append(_failed_result(int(k), n_z, n_r, str(e)))
+    return results

@@ -330,12 +330,6 @@ def filter_signal(sys, record, x0=None):
         if x0.size != ss.n_states:
             raise LtiError("initial state has wrong dimension")
     A, B, C, D = (np.ascontiguousarray(M) for M in (ss.A, ss.B, ss.C, ss.D))
-    if ss.n_states == 0:
-        # pad with one inert state so the kernel signature stays uniform
-        A = np.zeros((1, 1))
-        B = np.zeros((1, ss.n_inputs))
-        C = np.zeros((ss.n_outputs, 1))
-        x0 = np.zeros(1)
     u = np.ascontiguousarray(record.data.T)
     y = _accel.ss_filter(A, B, C, D, u, x0)
     return SignalRecord(np.ascontiguousarray(y.T), record.sample_time,

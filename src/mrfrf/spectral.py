@@ -35,10 +35,6 @@ class Spectrum:
     def n_bins(self):
         return self.values.shape[1]
 
-    def freqs_hz(self):
-        n = self.n_bins
-        return np.arange(n) / (n * self.sample_time)
-
 
 def dft(record):
     """Unnormalized DFT of each channel."""

@@ -9,6 +9,7 @@ validator actually catches broken recoveries.
 
 import numpy as np
 
+from .errors import ConfigError
 from .ident import recover_P
 from .lrm import LocalModelConfig, fit_local
 from .loopsim import MultirateLoopSpec, simulate
@@ -227,7 +228,7 @@ def suite_lrm_exactness(rng):
 def run_suites(seed=0, mutate=None):
     """Run every suite; returns a dict with per-suite results and a verdict."""
     if mutate is not None and mutate not in MUTATIONS:
-        raise ValueError(f"unknown mutation {mutate!r}; known: {MUTATIONS}")
+        raise ConfigError(f"unknown mutation {mutate!r}; known: {MUTATIONS}")
     rng = np.random.default_rng(seed)
     suites = [
         suite_lift_roundtrip(rng),

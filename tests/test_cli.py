@@ -95,11 +95,46 @@ def test_identify_rejects_corrupt_csv(scenario_path, sim_dir, tmp_path, capsys):
     assert "row 101" in capsys.readouterr().err
 
 
-def test_identify_bad_bins_argument(scenario_path, sim_dir):
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_identify_rejects_non_finite_sample(scenario_path, sim_dir, tmp_path,
+                                            capsys, value):
+    import shutil
+
+    broken = tmp_path / "broken"
+    shutil.copytree(sim_dir, broken)
+    path = broken / "u_h.csv"
+    lines = path.read_text().splitlines()
+    lines[9000] = f"{value},0.0"  # inside the identified periods, file row 9001
+    path.write_text("\n".join(lines) + "\n")
     rc = main(["identify", "--scenario", scenario_path,
-               "--data", str(sim_dir), "--out", str(sim_dir),
-               "--bins", "banana"])
+               "--data", str(broken), "--out", str(broken)])
+    assert rc == 3
+    assert "row 9001 is not finite" in capsys.readouterr().err
+
+
+def test_bad_scenario_field_is_config_error(tmp_path, capsys):
+    from mrfrf.bench import build_benchmark_scenario
+
+    doc = mio.scenario_to_dict(build_benchmark_scenario("default"))
+    doc["F"] = "two"
+    path = tmp_path / "scenario.json"
+    mio.write_json(path, doc)
+    rc = main(["generate", "--scenario", str(path), "--out", str(tmp_path)])
     assert rc == 2
+    assert "'F'" in capsys.readouterr().err
+
+
+def test_program_error_propagates(scenario_path, sim_dir, tmp_path,
+                                  monkeypatch):
+    from mrfrf import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("bug inside identify")
+
+    monkeypatch.setattr(cli, "identify", broken)
+    with pytest.raises(ValueError, match="bug inside identify"):
+        main(["identify", "--scenario", scenario_path,
+              "--data", str(sim_dir), "--out", str(tmp_path)])
 
 
 def test_validate_passes_and_writes_json(tmp_path, capsys):
@@ -125,11 +160,3 @@ def test_validate_mutation_fails(tmp_path, capsys):
 def test_validate_unknown_mutation(tmp_path):
     assert main(["validate", "--out", str(tmp_path / "v"),
                  "--mutate", "nonsense"]) == 2
-
-
-def test_identify_bins_range_accepted(scenario_path, sim_dir, capsys):
-    rc = main(["identify", "--scenario", scenario_path,
-               "--data", str(sim_dir), "--out", str(sim_dir),
-               "--bins", "100..200"])
-    assert rc == 0
-    assert "residual p50" in capsys.readouterr().out

@@ -3,7 +3,7 @@ import pytest
 
 from mrfrf.errors import RateError
 from mrfrf.ident import (data_row_to_lifted_row, first_row_lifted_P, identify,
-                         recover_P, single_rate_plant_estimate)
+                         recover_P)
 from mrfrf.loopsim import MultirateLoopSpec, simulate
 from mrfrf.lrm import LocalModelConfig
 from mrfrf.lti import RationalTF, dft_grid, freq_response
@@ -182,8 +182,8 @@ def test_identify_factor_one_reduces_to_single_rate():
                            half_window=10)
     result = identify(sim.u_h.last_periods(1), sim.r_h.last_periods(1),
                       sim.y_l.last_periods(1), 1, cfg)
-    direct = single_rate_plant_estimate(result.sensitivity,
-                                        result.process_sens_row)
+    direct, _, _ = first_row_lifted_P(result.sensitivity,
+                                      result.process_sens_row)
     assert np.array_equal(result.lifted_row, direct)
     assert np.allclose(result.frf.values, direct, atol=0)
 

@@ -39,6 +39,15 @@ def test_signal_csv_field_count_mismatch(tmp_path):
     assert exc.value.row == 3
 
 
+def test_signal_csv_non_finite_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("# format_version=1\nch0,ch1\n1.0,2.0\n3.0,-inf\nnan,4.0\n")
+    with pytest.raises(DataFormatError) as exc:
+        mio.read_signal_csv(path, 1e-4)
+    assert exc.value.row == 4
+    assert "row 4 is not finite" in str(exc.value)
+
+
 def test_frf_entry_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     n = 12
@@ -74,6 +83,29 @@ def test_scenario_roundtrip(tmp_path):
             assert np.array_equal(a.den[i][j], b.den[i][j])
 
 
+@pytest.mark.parametrize("section,key,value,name", [
+    ("noise", "eh_std", "loud", "noise.eh_std"),
+    ("lrm", "half_window", [30], "lrm.half_window"),
+    ("excitation", "rms", ["x", 1.0], "excitation.rms"),
+])
+def test_scenario_bad_field_names_it(section, key, value, name):
+    from mrfrf.errors import ConfigError
+
+    doc = mio.scenario_to_dict(build_benchmark_scenario("default"))
+    doc[section][key] = value
+    with pytest.raises(ConfigError, match=name):
+        mio.scenario_from_dict(doc)
+
+
+def test_scenario_bad_system_document():
+    from mrfrf.errors import ConfigError
+
+    doc = mio.scenario_to_dict(build_benchmark_scenario("default"))
+    doc["plant"]["num"][0] = ["a"]
+    with pytest.raises(ConfigError, match="plant system document"):
+        mio.scenario_from_dict(doc)
+
+
 def test_scenario_preset_reference(tmp_path):
     path = tmp_path / "scenario.json"
     mio.write_json(path, {"preset": "default", "seed": 4321})
@@ -88,18 +120,3 @@ def test_missing_scenario_raises_config_error(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         mio.load_scenario(tmp_path / "nope.json")
 
-
-def test_spectrum_csv_format(tmp_path):
-    from mrfrf.multirate import SignalRecord as SR
-    from mrfrf.spectral import dft
-
-    rng = np.random.default_rng(5)
-    spec = dft(SR(rng.standard_normal((2, 8)), 0.5))
-    path = tmp_path / "spec.csv"
-    mio.write_spectrum_csv(path, spec)
-    lines = path.read_text().splitlines()
-    assert lines[1] == "k,freq_hz,re_ch0,im_ch0,re_ch1,im_ch1"
-    assert len(lines) == 2 + 8
-    first = lines[2].split(",")
-    assert first[0] == "0"
-    assert float(first[2]) == spec.values[0, 0].real

@@ -1,74 +1,38 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
+import pytest
 
 from mrfrf import _accel
+from mrfrf.errors import SimulationError
+from mrfrf.loopsim import benchmark_loop, simulate
+from mrfrf.multirate import SignalRecord
 
 
-def _random_system(rng, n, nu, ny):
-    A = rng.standard_normal((n, n)) * 0.3 / np.sqrt(n)
-    B = rng.standard_normal((n, nu))
-    C = rng.standard_normal((ny, n))
-    D = rng.standard_normal((ny, nu))
-    return A, B, C, D
-
-
-def test_ss_filter_paths_agree():
-    rng = np.random.default_rng(0)
-    A, B, C, D = _random_system(rng, 4, 2, 3)
-    u = rng.standard_normal((50, 2))
-    x0 = rng.standard_normal(4)
-    fast = _accel.ss_filter(A, B, C, D, u, x0)
-    ref = _accel.ss_filter_numpy(A, B, C, D, u, x0)
-    assert np.allclose(fast, ref, rtol=1e-13, atol=1e-13)
-
-
-def test_multirate_loop_paths_agree():
-    rng = np.random.default_rng(1)
+def _scalar_loop(a, r):
+    """The kernel on a first-order plant x+ = a x + u under zero feedback."""
     F = 2
-    Ap, Bp, Cp, Dp = _random_system(rng, 4, 2, 1)
-    Aw, Bw, Cw, Dw = _random_system(rng, 2, 2, 2)
-    Ac, Bc, Cc, Dc = _random_system(rng, 3, 1, 2)
-    minv = np.linalg.inv(np.eye(1) + Dp @ Dw @ Dc)
-    n_fast = 40
-    r = rng.standard_normal((n_fast, 2))
-    eps_h = rng.standard_normal((n_fast, 1)) * 0.01
-    d = rng.standard_normal((n_fast, 2)) * 0.01
-    eps_l = rng.standard_normal((n_fast // F, 1)) * 0.01
-    args = (Ap, Bp, Cp, Dp, Aw, Bw, Cw, Dw, Ac, Bc, Cc, Dc, minv, F,
-            r, eps_h, d, eps_l)
-    u1, y1, yl1, s1 = _accel.multirate_loop(*args)
-    u2, y2, yl2, s2 = _accel.multirate_loop_numpy(*args)
-    assert s1 == s2 == -1
-    for a, b in ((u1, u2), (y1, y2), (yl1, yl2)):
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
-def test_env_flag_selects_numpy_fallback():
-    code = ("import mrfrf._accel as a; "
-            "print(a.NUMBA_ENABLED, a.ss_filter is a.ss_filter_numpy)")
-    env = dict(os.environ, MRFRF_DISABLE_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    n_fast = r.shape[0]
+    eye1 = np.eye(1)
+    zeros1 = np.zeros((1, 1))
+    return _accel.multirate_loop(
+        np.array([[a]]), eye1, eye1, zeros1,
+        zeros1, zeros1, zeros1, eye1,
+        zeros1, zeros1, zeros1, zeros1,
+        eye1, F, r, np.zeros((n_fast, 1)), np.zeros((n_fast, 1)),
+        np.zeros((n_fast // F, 1)))
 
 
 def test_overflow_status_reported():
-    F = 2
-    Ap = np.array([[2.0]])
-    Bp = np.array([[1.0]])
-    Cp = np.array([[1.0]])
-    Dp = np.zeros((1, 1))
-    eye1 = np.eye(1)
-    zeros1 = np.zeros((1, 1))
-    n_fast = 4000
-    r = np.ones((n_fast, 1))
-    u, y, yl, status = _accel.multirate_loop_numpy(
-        Ap, Bp, Cp, Dp,
-        zeros1, np.zeros((1, 1)), np.zeros((1, 1)), eye1,
-        zeros1, np.zeros((1, 1)), np.zeros((1, 1)), zeros1,
-        eye1, F, r, np.zeros((n_fast, 1)), np.zeros((n_fast, 1)),
-        np.zeros((n_fast // F, 1)))
+    u, y, yl, status = _scalar_loop(2.0, np.ones((4000, 1)))
     assert status >= 0
+
+
+def test_nan_excitation_trips_guard():
+    r = np.ones((40, 1))
+    r[10] = np.nan
+    assert _scalar_loop(0.5, r)[3] == 5
+    assert _scalar_loop(0.5, np.ones((40, 1)))[3] == -1
+    loop = benchmark_loop()
+    data = np.zeros((2, 64))
+    data[0, 7] = np.nan
+    with pytest.raises(SimulationError, match="non-finite"):
+        simulate(loop, SignalRecord(data, loop.plant.sample_time))

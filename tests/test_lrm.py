@@ -197,23 +197,6 @@ def test_window_too_small_raises():
         fit_local(Z, R, 5, cfg)
 
 
-def test_bin_mask_restricts_window():
-    rng = np.random.default_rng(9)
-    m = 64
-    cfg = make_config(degree_num=1, degree_transient=0, degree_den=0,
-                      half_window=10)
-    R = random_spectra(rng, 1, m)
-    G0 = random_spectra(rng, 1, 1)
-    Z = (G0[0, 0] * R[0])[None, :].copy()
-    mask = np.ones(m, dtype=bool)
-    poisoned = (np.arange(25, 30))
-    Z[0, poisoned] = 99.0  # corrupt bins that the mask excludes
-    mask[poisoned] = False
-    fit = fit_local(Z, R, 20, cfg, bin_mask=mask)
-    assert abs(fit.response[0, 0] - G0[0, 0]) < 1e-9
-    assert not np.any(np.isin(poisoned, fit.window_bins))
-
-
 def test_sweep_bins_order_purity_and_failures():
     rng = np.random.default_rng(10)
     m = 64
@@ -232,16 +215,3 @@ def test_sweep_bins_order_purity_and_failures():
     assert bad[0].failed
     assert "rank" in bad[0].error
 
-
-def test_sweep_bins_threaded_matches_serial(monkeypatch):
-    rng = np.random.default_rng(11)
-    m = 64
-    cfg = make_config(degree_num=1, degree_transient=1, degree_den=1,
-                      half_window=8)
-    R = random_spectra(rng, 2, m)
-    Z = random_spectra(rng, 3, m)
-    serial = sweep_bins(Z, R, range(10), cfg)
-    monkeypatch.setenv("MRFRF_THREADS", "4")
-    threaded = sweep_bins(Z, R, range(10), cfg)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.response, b.response)
