@@ -17,8 +17,7 @@ from .loopsim import (MultirateLoopSpec, NoiseSpec, SimulationOutput,
 from .lrm import LocalFitResult, LocalModelConfig, fit_local, param_count, sweep_bins
 from .lti import (FrfMatrix, RationalTF, StateSpace, assert_stable,
                   benchmark_controller, controller_preset, dft_grid,
-                  filter_signal, freq_response, load_system, save_system,
-                  to_state_space)
+                  filter_signal, freq_response, to_state_space)
 from .multirate import (LiftedFrf, LiftedSignal, SignalRecord, downsample,
                         lift, lift_frf, lift_loop_state_space, unlift,
                         upsample_zoh, zero_insert)

@@ -17,12 +17,9 @@ from .spectral import MultisineSpec, multisine
 
 #: Identification settings of the dual-stage benchmark configuration.
 BENCH_FAST_TS = FAST_SAMPLE_TIME          # 1/100800 s
-BENCH_SLOW_TS = 2.0 * FAST_SAMPLE_TIME    # 1/50400 s
 BENCH_FACTOR = 2
 BENCH_SAMPLES = 3600
 BENCH_RMS = (3.6e-9, 8.0e-8)              # (pzt, vcm) excitation levels
-BENCH_DEGREES = (3, 3, 3)
-BENCH_HALF_WINDOW = 30
 #: Default stroke bound checked (report-only) for the micro actuator, meters.
 PZT_STROKE_BOUND = 50e-9
 
@@ -33,7 +30,7 @@ SCENARIO_PRESETS = ("default", "noiseless", "noisy", "zero-plant")
 class BenchmarkScenario:
     loop: MultirateLoopSpec
     excitation: MultisineSpec
-    lrm: LocalModelConfig
+    lrm: LocalModelConfig = field(default_factory=LocalModelConfig)
     periods: int = 3
     ident_periods: int = 2
     seed: int = 1234
@@ -103,13 +100,7 @@ def build_benchmark_scenario(preset="default", seed=1234, vcm_variant="q2",
         n_channels=2, n_samples=BENCH_SAMPLES, sample_time=BENCH_FAST_TS,
         rms=BENCH_RMS, seed=seed,
     )
-    lrm = LocalModelConfig(degree_num=BENCH_DEGREES[0],
-                           degree_transient=BENCH_DEGREES[1],
-                           degree_den=BENCH_DEGREES[2],
-                           half_window=BENCH_HALF_WINDOW,
-                           denominator="diagonal")
-    return BenchmarkScenario(loop=loop, excitation=excitation, lrm=lrm,
-                             seed=seed)
+    return BenchmarkScenario(loop=loop, excitation=excitation, seed=seed)
 
 
 def scenario_feasibility(scenario):

@@ -155,7 +155,6 @@ def cmd_report(args):
     os.makedirs(args.out, exist_ok=True)
     truth = true_plant_frf(scenario)
     vals = np.zeros_like(truth.values)
-    flags = None
     for i in range(truth.n_outputs):
         for j in range(truth.n_inputs):
             path = os.path.join(args.out, f"frf_y{i}_u{j}.csv")
@@ -166,7 +165,6 @@ def cmd_report(args):
                 raise DataFormatError(
                     f"{path}: {len(ks)} rows, expected {truth.n_bins}")
             vals[:, i, j] = np.where(fl, np.nan + 0j, v)
-            flags = fl if flags is None else (flags | fl)
     est = FrfMatrix(vals, truth.omega, truth.sample_time)
     report = error_report(est, truth)
     mio.write_json(os.path.join(args.out, "error_report.json"), {

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RateError
+from .errors import DataFormatError, RateError
 from .lrm import param_count, sweep_bins
 from .lti import FrfMatrix, dft_grid
 from .multirate import FAST, SLOW, lift
@@ -174,6 +174,12 @@ def identify(u_h, r_h, y_l, factor, config, condition_threshold=1e10):
     if (u_h.n_periods or 1) != (r_h.n_periods or 1) or \
             (u_h.n_periods or 1) != (y_l.n_periods or 1):
         raise RateError("records disagree on the period count")
+    for name, rec in (("u_h", u_h), ("r_h", r_h), ("y_l", y_l)):
+        bad = np.argwhere(~np.isfinite(rec.data))
+        if bad.size:
+            ch, n_bad = bad[0]
+            raise DataFormatError(
+                f"{name} channel {ch} sample {n_bad} is not finite")
 
     nu, ny = u_h.n_channels, y_l.n_channels
     n_params, n_data = param_count(config, nu, ny, F)

@@ -11,7 +11,8 @@ import numpy as np
 
 from .bench import (BENCH_FACTOR, BENCH_FAST_TS, BENCH_RMS, BENCH_SAMPLES,
                     BenchmarkScenario, build_benchmark_scenario)
-from .errors import ConfigError, DataFormatError
+from .errors import (ConfigError, DataFormatError, LocalFitError, LtiError,
+                     RateError)
 from .lrm import LocalModelConfig
 from .loopsim import MultirateLoopSpec, NoiseSpec, surrogate_plant
 from .lti import benchmark_controller, system_from_dict, system_to_dict
@@ -137,8 +138,14 @@ def diagnostics_to_dict(result):
 #  "excitation": {"rms": [...], "seed": 1234, "n_samples": 3600,
 #                  "scheme": "random"},
 #  "lrm": {"degree_num": 3, "degree_transient": 3, "degree_den": 3,
-#           "half_window": 30, "denominator": "diagonal"},
+#           "half_window": 30},
 #  "ts": 9.920634920634922e-06, "periods": 3, "ident_periods": 2, "seed": 1234}
+#
+# Absent "lrm" keys take LocalModelConfig's defaults; "denominator" may only
+# be "diagonal", the one local model there is.
+
+_LRM_KEYS = ("degree_num", "degree_transient", "degree_den", "half_window")
+
 
 def _field(doc, key, convert, default, section=""):
     """doc[key] (or the default) passed through convert; a value that convert
@@ -149,6 +156,21 @@ def _field(doc, key, convert, default, section=""):
     except (TypeError, ValueError):
         raise ConfigError(f"scenario field {section + key!r} has an invalid "
                           f"value {value!r}") from None
+
+
+def _diagonal_only(value):
+    if value != "diagonal":
+        raise ValueError(value)
+
+
+def _spec(section, build, *args, **kwargs):
+    """build(*args, **kwargs); a validation error the constructor raises is a
+    ConfigError naming the scenario section."""
+    try:
+        return build(*args, **kwargs)
+    except (LocalFitError, LtiError, RateError) as e:
+        raise ConfigError(f"scenario section {section!r} is invalid: "
+                          f"{e}") from None
 
 
 def _system_from_doc(doc, ts, role):
@@ -187,11 +209,12 @@ def scenario_from_dict(doc):
                       dh_std=_field(nd, "dh_std", float, 0.0, "noise."),
                       dh_channel=_field(nd, "dh_channel", int, 1, "noise."),
                       shaping=shaping)
-    loop = MultirateLoopSpec(plant, controller, factor,
-                             input_filters=filters, noise=noise)
+    loop = _spec("plant/controller/filters/F", MultirateLoopSpec, plant,
+                 controller, factor, input_filters=filters, noise=noise)
     ed = doc.get("excitation", {})
     seed = _field(doc, "seed", int, 1234)
-    excitation = MultisineSpec(
+    excitation = _spec(
+        "excitation", MultisineSpec,
         n_channels=plant.n_inputs,
         n_samples=_field(ed, "n_samples", int, BENCH_SAMPLES, "excitation."),
         sample_time=ts,
@@ -202,13 +225,10 @@ def scenario_from_dict(doc):
         excite_dc=bool(ed.get("excite_dc", False)),
     )
     ld = doc.get("lrm", {})
-    lrm = LocalModelConfig(
-        degree_num=_field(ld, "degree_num", int, 3, "lrm."),
-        degree_transient=_field(ld, "degree_transient", int, 3, "lrm."),
-        degree_den=_field(ld, "degree_den", int, 3, "lrm."),
-        half_window=_field(ld, "half_window", int, 30, "lrm."),
-        denominator=ld.get("denominator", "diagonal"),
-    )
+    _field(ld, "denominator", _diagonal_only, "diagonal", "lrm.")
+    lrm = _spec("lrm", LocalModelConfig, **{
+        key: _field(ld, key, int, getattr(LocalModelConfig, key), "lrm.")
+        for key in _LRM_KEYS})
     return BenchmarkScenario(loop=loop, excitation=excitation, lrm=lrm,
                              periods=_field(doc, "periods", int, 3),
                              ident_periods=_field(doc, "ident_periods", int, 2),
@@ -239,13 +259,7 @@ def scenario_to_dict(scenario, plant_doc=None, controller_doc=None):
             "scheme": scenario.excitation.phase_scheme,
             "excite_dc": scenario.excitation.excite_dc,
         },
-        "lrm": {
-            "degree_num": scenario.lrm.degree_num,
-            "degree_transient": scenario.lrm.degree_transient,
-            "degree_den": scenario.lrm.degree_den,
-            "half_window": scenario.lrm.half_window,
-            "denominator": scenario.lrm.denominator,
-        },
+        "lrm": {key: getattr(scenario.lrm, key) for key in _LRM_KEYS},
         "periods": scenario.periods,
         "ident_periods": scenario.ident_periods,
         "seed": scenario.seed,

@@ -69,14 +69,6 @@ class SimulationOutput:
     y_l: SignalRecord
     seed: int
 
-    def last_period(self):
-        return (self.r_h.period(-1), self.u_h.period(-1),
-                self.y_h.period(-1), self.y_l.period(-1))
-
-
-def _realize(sys):
-    return to_state_space(sys) if isinstance(sys, RationalTF) else sys
-
 
 def simulate(spec, r_h, periods=1, seed=0, check_stability=True):
     """Run the loop for `periods` repetitions of the excitation record.
@@ -86,8 +78,8 @@ def simulate(spec, r_h, periods=1, seed=0, check_stability=True):
     output is the sampled fast output plus the run-out noise, and the same
     measured value feeds the controller.
     """
-    P = _realize(spec.plant)
-    C = _realize(spec.controller)
+    P = to_state_space(spec.plant)
+    C = to_state_space(spec.controller)
     F = spec.factor
     nu, ny = P.n_inputs, P.n_outputs
     if r_h.rate_tag != FAST:
@@ -109,7 +101,7 @@ def simulate(spec, r_h, periods=1, seed=0, check_stability=True):
         W = StateSpace(np.zeros((0, 0)), np.zeros((0, nu)), np.zeros((nu, 0)),
                        np.eye(nu), P.sample_time)
     else:
-        W = _realize(spec.input_filters)
+        W = to_state_space(spec.input_filters)
 
     n_fast = r_h.n_samples * periods
     n_slow = n_fast // F
@@ -179,7 +171,6 @@ def simulate(spec, r_h, periods=1, seed=0, check_stability=True):
 # gain, a steep mid-band rolloff, and a small wideband feedthrough floor.
 
 FAST_SAMPLE_TIME = 1.0 / 100800.0
-SLOW_SAMPLE_TIME = 1.0 / 50400.0
 
 PZT_GAIN = 0.15
 PZT_RES_HZ = 44016.0

@@ -5,11 +5,12 @@ r = -n_w..n_w are modeled as
 
     D(r) Z(k+r) = N(r) R(k+r) + M(r) + residual,
 
-with N, M, D matrix polynomials in the local variable, D(0) = I, so the
-response matrix and transient vector are read directly from the solution.
-The local variable is normalized to r/n_w for conditioning; the estimates at
-the center are basis-independent.  Windows wrap circularly because DFT
-spectra are periodic in the bin index.
+with N, M matrix polynomials in the local variable and D diagonal (one
+denominator polynomial per output row), D(0) = I, so the response matrix and
+transient vector are read directly from the solution.  The local variable is
+normalized to r/n_w for conditioning; the estimates at the center are
+basis-independent.  Windows wrap circularly because DFT spectra are periodic
+in the bin index.
 """
 
 import warnings
@@ -22,11 +23,12 @@ from .errors import LocalFitError
 
 @dataclass(frozen=True)
 class LocalModelConfig:
+    """Local rational model settings; the defaults are the benchmark's."""
+
     degree_num: int = 3
     degree_transient: int = 3
     degree_den: int = 3
     half_window: int = 30
-    denominator: str = "diagonal"  # 'diagonal' (per output row) or 'full'
     condition_threshold: float = 1e12
 
     def __post_init__(self):
@@ -34,8 +36,6 @@ class LocalModelConfig:
             raise LocalFitError("polynomial degrees must be nonnegative")
         if self.half_window < 1:
             raise LocalFitError("half_window must be at least 1")
-        if self.denominator not in ("diagonal", "full"):
-            raise LocalFitError("denominator must be 'diagonal' or 'full'")
 
 
 def param_count(config, n_u, n_y, factor):
@@ -59,7 +59,6 @@ class LocalFitResult:
     transient: np.ndarray     # (n_z,) complex
     residual: float
     condition: float
-    window_bins: np.ndarray
     fallback: bool = False
     error: str | None = None
 
@@ -105,7 +104,7 @@ def _solve(A, b, watched):
     return theta_eq / scale, cond, rank < s.size, leak
 
 
-def _fit_diagonal(Z, R, k, config, rs, idx):
+def _fit(Z, R, k, config, rs, idx):
     n_z = Z.shape[0]
     n_r = R.shape[0]
     rho = rs / config.half_window
@@ -117,17 +116,18 @@ def _fit_diagonal(Z, R, k, config, rs, idx):
             f"parameters at bin {k}"
         )
     Rw = R[:, idx].T
+    # excitation and transient columns are the same for every output row
+    shared = [(rho ** s)[:, None] * Rw for s in range(rn + 1)]
+    shared.extend((rho ** s)[:, None] for s in range(rm + 1))
     watched = list(range(n_r)) + [n_r * (rn + 1)]
     response = np.zeros((n_z, n_r), dtype=complex)
     transient = np.zeros(n_z, dtype=complex)
     res_sq = 0.0
     cond_max = 0.0
     for i in range(n_z):
-        cols = [(rho ** s)[:, None] * Rw for s in range(rn + 1)]
-        cols.extend((rho ** s)[:, None] for s in range(rm + 1))
         zi = Z[i, idx]
-        cols.extend(-(rho ** s)[:, None] * zi[:, None] for s in range(1, rd + 1))
-        A = np.hstack(cols)
+        A = np.hstack(shared + [-(rho ** s)[:, None] * zi[:, None]
+                                for s in range(1, rd + 1)])
         theta, cond, deficient, leak = _solve(A, zi, watched)
         if deficient and leak > _NULL_LEAK_TOL:
             raise LocalFitError(
@@ -142,67 +142,24 @@ def _fit_diagonal(Z, R, k, config, rs, idx):
     return response, transient, np.sqrt(res_sq), cond_max
 
 
-def _fit_full(Z, R, k, config, rs, idx):
-    n_z = Z.shape[0]
-    n_r = R.shape[0]
-    rho = rs / config.half_window
-    rn, rm, rd = config.degree_num, config.degree_transient, config.degree_den
-    n_cols = n_z * n_r * (rn + 1) + n_z * (rm + 1) + n_z * n_z * rd
-    n_rows = len(rs) * n_z
-    if n_rows < n_cols:
-        raise LocalFitError(
-            f"window supplies {n_rows} rows for {n_cols} parameters at bin {k}"
-        )
-    A = np.zeros((n_rows, n_cols), dtype=complex)
-    b = np.empty(n_rows, dtype=complex)
-    eye = np.eye(n_z)
-    for w, (r_off, kb) in enumerate(zip(rho, idx)):
-        rows = slice(w * n_z, (w + 1) * n_z)
-        col = 0
-        # kron(vec, I) lays the unknown matrices out input-major: the block
-        # [i, j*n_z + i'] = vec_j * delta_{i i'} realizes (Matrix @ vec)_i
-        for s in range(rn + 1):
-            A[rows, col:col + n_z * n_r] = np.kron(R[:, kb], eye) * (r_off ** s)
-            col += n_z * n_r
-        for s in range(rm + 1):
-            A[rows, col:col + n_z] = eye * (r_off ** s)
-            col += n_z
-        for s in range(1, rd + 1):
-            A[rows, col:col + n_z * n_z] = -np.kron(Z[:, kb], eye) * (r_off ** s)
-            col += n_z * n_z
-        b[rows] = Z[:, kb]
-    watched = list(range(n_z * n_r)) + list(
-        range(n_z * n_r * (rn + 1), n_z * n_r * (rn + 1) + n_z))
-    theta, cond, deficient, leak = _solve(A, b, watched)
-    if deficient and leak > _NULL_LEAK_TOL:
-        raise LocalFitError(
-            f"rank-deficient regressor at bin {k}: estimates not "
-            f"identifiable (null-space leakage {leak:.2e}, "
-            f"condition {cond:.3e})"
-        )
-    response = theta[:n_z * n_r].reshape(n_r, n_z).T
-    transient = theta[n_z * n_r * (rn + 1):n_z * n_r * (rn + 1) + n_z]
-    res = float(np.linalg.norm(A @ theta - b))
-    return response, transient, res, cond
-
-
 def fit_local(Z, R, k, config):
     """Fit the local model around center bin k.
 
     Z has shape (n_z, M) (stacked outputs), R has shape (n_r, M); both are
-    full-circle spectra on the same grid.  Returns a LocalFitResult with the
-    response matrix, transient vector, residual norm, and window condition
-    number.  When the condition exceeds the configured threshold the fit falls
-    back to a pure local polynomial (denominator fixed to identity) and the
-    result is marked accordingly.
+    full-circle spectra on the same grid.  D is diagonal, so each output row
+    is its own least-squares problem with one denominator polynomial.
+    Returns a LocalFitResult with the response matrix, transient vector,
+    residual norm, and window condition number (the worst row).  When the
+    condition exceeds the configured threshold the fit falls back to a pure
+    local polynomial (denominator fixed to identity) and the result is marked
+    accordingly.
     """
     n_bins = Z.shape[1]
     if R.shape[1] != n_bins:
         raise LocalFitError("Z and R must share the same bin grid")
     rs = np.arange(-config.half_window, config.half_window + 1)
     idx = (k + rs) % n_bins
-    fitter = _fit_diagonal if config.denominator == "diagonal" else _fit_full
-    response, transient, res, cond = fitter(Z, R, k, config, rs, idx)
+    response, transient, res, cond = _fit(Z, R, k, config, rs, idx)
     fallback = False
     if cond > config.condition_threshold and config.degree_den > 0:
         warnings.warn(
@@ -211,17 +168,16 @@ def fit_local(Z, R, k, config):
             RuntimeWarning, stacklevel=2,
         )
         cfg0 = replace(config, degree_den=0)
-        response, transient, res, cond = fitter(Z, R, k, cfg0, rs, idx)
+        response, transient, res, cond = _fit(Z, R, k, cfg0, rs, idx)
         fallback = True
-    return LocalFitResult(k, response, transient, res, cond, idx,
+    return LocalFitResult(k, response, transient, res, cond,
                           fallback=fallback)
 
 
 def _failed_result(k, n_z, n_r, message):
     nan_mat = np.full((n_z, n_r), np.nan + 0j)
     nan_vec = np.full(n_z, np.nan + 0j)
-    return LocalFitResult(k, nan_mat, nan_vec, np.nan, np.inf,
-                          np.empty(0, dtype=int), error=message)
+    return LocalFitResult(k, nan_mat, nan_vec, np.nan, np.inf, error=message)
 
 
 def sweep_bins(Z, R, bins, config):

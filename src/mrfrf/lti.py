@@ -7,7 +7,6 @@ coefficient.  Any such entry is causal, including numerators longer than the
 denominator.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,7 +270,8 @@ def _entry_realization(num, den):
 
 
 def to_state_space(sys):
-    """Block-diagonal state-space realization of a RationalTF."""
+    """Block-diagonal state-space realization of a RationalTF; a StateSpace
+    is returned unchanged."""
     if isinstance(sys, StateSpace):
         return sys
     blocks = [[_entry_realization(sys.num[i][j], sys.den[i][j])
@@ -312,7 +312,7 @@ def filter_signal(sys, record, x0=None):
     """Run a state-space (or rational) system over a SignalRecord."""
     from .multirate import SignalRecord
 
-    ss = to_state_space(sys) if isinstance(sys, RationalTF) else sys
+    ss = to_state_space(sys)
     if abs(record.sample_time - ss.sample_time) > 1e-15 * ss.sample_time:
         raise LtiError(
             f"rate mismatch: signal T={record.sample_time!r}, "
@@ -370,17 +370,6 @@ def system_from_dict(doc):
     den_m = tuple(tuple(np.asarray(den[i * nu + j], dtype=float)
                         for j in range(nu)) for i in range(ny))
     return RationalTF(num_m, den_m, float(ts))
-
-
-def load_system(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return system_from_dict(json.load(f))
-
-
-def save_system(path, sys):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(system_to_dict(sys), f, indent=1, sort_keys=True)
-        f.write("\n")
 
 
 # --- benchmark controllers ---------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LtiError, RateError, SimulationError
-from .lti import RationalTF, StateSpace, dft_grid, to_state_space
+from .lti import StateSpace, dft_grid, to_state_space
 
 FAST = "fast"
 SLOW = "slow"
@@ -241,8 +241,8 @@ def lift_loop_state_space(plant, controller, factor, input_filters=None):
     Raises SimulationError naming the spectral radius if the loop is unstable.
     """
     F = int(factor)
-    P = to_state_space(plant) if isinstance(plant, RationalTF) else plant
-    C = to_state_space(controller) if isinstance(controller, RationalTF) else controller
+    P = to_state_space(plant)
+    C = to_state_space(controller)
     ny, nu = P.n_outputs, P.n_inputs
     if C.n_inputs != ny or C.n_outputs != nu:
         raise LtiError("controller dimensions must map plant outputs to inputs")
@@ -250,8 +250,7 @@ def lift_loop_state_space(plant, controller, factor, input_filters=None):
         W = StateSpace(np.zeros((0, 0)), np.zeros((0, nu)), np.zeros((nu, 0)),
                        np.eye(nu), P.sample_time)
     else:
-        W = (to_state_space(input_filters)
-             if isinstance(input_filters, RationalTF) else input_filters)
+        W = to_state_space(input_filters)
         if W.n_inputs != nu or W.n_outputs != nu:
             raise LtiError("input filters must be square in the plant inputs")
     if abs(C.sample_time - F * P.sample_time) > 1e-12 * C.sample_time:

@@ -115,13 +115,18 @@ def test_identify_rejects_non_finite_sample(scenario_path, sim_dir, tmp_path,
 def test_bad_scenario_field_is_config_error(tmp_path, capsys):
     from mrfrf.bench import build_benchmark_scenario
 
-    doc = mio.scenario_to_dict(build_benchmark_scenario("default"))
-    doc["F"] = "two"
-    path = tmp_path / "scenario.json"
-    mio.write_json(path, doc)
-    rc = main(["generate", "--scenario", str(path), "--out", str(tmp_path)])
-    assert rc == 2
-    assert "'F'" in capsys.readouterr().err
+    for edit, name in (
+            (lambda doc: doc.update(F="two"), "'F'"),
+            (lambda doc: doc["excitation"].update(scheme="banana"),
+             "'excitation'")):
+        doc = mio.scenario_to_dict(build_benchmark_scenario("default"))
+        edit(doc)
+        path = tmp_path / "scenario.json"
+        mio.write_json(path, doc)
+        rc = main(["generate", "--scenario", str(path),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert name in capsys.readouterr().err
 
 
 def test_program_error_propagates(scenario_path, sim_dir, tmp_path,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrfrf.errors import RateError
+from mrfrf.errors import DataFormatError, RateError
 from mrfrf.ident import (data_row_to_lifted_row, first_row_lifted_P, identify,
                          recover_P)
 from mrfrf.loopsim import MultirateLoopSpec, simulate
@@ -119,11 +119,26 @@ def run_ident(loop, n, seed=5, periods=4, ident_periods=1, noise=None,
               rms=(1.0, 0.5), config=None):
     r = multisine(MultisineSpec(2, n, TS, rms, seed=seed))
     sim = simulate(loop, r, periods=periods, seed=seed)
-    cfg = config or LocalModelConfig(degree_num=3, degree_transient=3,
-                                     degree_den=3, half_window=15)
+    cfg = config or LocalModelConfig(half_window=15)
     return identify(sim.u_h.last_periods(ident_periods),
                     sim.r_h.last_periods(ident_periods),
                     sim.y_l.last_periods(ident_periods), F, cfg), sim
+
+
+@pytest.mark.parametrize("name,ch,sample", [("u_h", 1, 37), ("y_l", 0, 5)])
+def test_identify_rejects_non_finite_sample(name, ch, sample):
+    loop, _ = bench_like_loop(np.random.default_rng(3))
+    r = multisine(MultisineSpec(2, 240, TS, (1.0, 0.5), seed=5))
+    sim = simulate(loop, r, periods=1, seed=5)
+    records = {k: getattr(sim, k) for k in ("u_h", "r_h", "y_l")}
+    data = records[name].data.copy()
+    data[ch, sample] = np.nan
+    records[name] = SignalRecord(data, records[name].sample_time,
+                                 records[name].rate_tag, n_periods=1)
+    with pytest.raises(DataFormatError,
+                       match=f"{name} channel {ch} sample {sample} "):
+        identify(records["u_h"], records["r_h"], records["y_l"], F,
+                 LocalModelConfig(half_window=15))
 
 
 def test_identify_noiseless_accuracy_and_symmetry():

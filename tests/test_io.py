@@ -4,6 +4,7 @@ import pytest
 from mrfrf import io as mio
 from mrfrf.bench import build_benchmark_scenario
 from mrfrf.errors import DataFormatError
+from mrfrf.lrm import LocalModelConfig
 from mrfrf.lti import FrfMatrix, dft_grid
 from mrfrf.multirate import SignalRecord
 
@@ -87,6 +88,10 @@ def test_scenario_roundtrip(tmp_path):
     ("noise", "eh_std", "loud", "noise.eh_std"),
     ("lrm", "half_window", [30], "lrm.half_window"),
     ("excitation", "rms", ["x", 1.0], "excitation.rms"),
+    ("excitation", "scheme", "banana", "section 'excitation'"),
+    ("lrm", "half_window", 0, "section 'lrm'"),
+    ("lrm", "denominator", "full", "lrm[.]denominator"),
+    ("lrm", "denominator", "banana", "lrm[.]denominator"),
 ])
 def test_scenario_bad_field_names_it(section, key, value, name):
     from mrfrf.errors import ConfigError
@@ -95,6 +100,13 @@ def test_scenario_bad_field_names_it(section, key, value, name):
     doc[section][key] = value
     with pytest.raises(ConfigError, match=name):
         mio.scenario_from_dict(doc)
+
+
+def test_scenario_lrm_defaults_and_diagonal_denominator():
+    doc = mio.scenario_to_dict(build_benchmark_scenario("default"))
+    doc["lrm"] = {"denominator": "diagonal", "half_window": 20}
+    lrm = mio.scenario_from_dict(doc).lrm
+    assert lrm == LocalModelConfig(half_window=20)
 
 
 def test_scenario_bad_system_document():

@@ -5,22 +5,16 @@ from mrfrf.errors import LocalFitError
 from mrfrf.lrm import LocalModelConfig, fit_local, param_count, sweep_bins
 
 
-def make_config(**kw):
-    base = dict(degree_num=3, degree_transient=3, degree_den=3, half_window=30)
-    base.update(kw)
-    return LocalModelConfig(**base)
-
-
 def test_param_count_benchmark_settings():
-    cfg = make_config()
+    cfg = LocalModelConfig()
     params, data = param_count(cfg, n_u=2, n_y=1, factor=2)
     assert params == 115
     assert data == 305
 
 
 def test_param_count_degree_zero_reduction():
-    cfg = make_config(degree_num=0, degree_transient=0, degree_den=0,
-                      half_window=10)
+    cfg = LocalModelConfig(degree_num=0, degree_transient=0, degree_den=0,
+                           half_window=10)
     for n_u, n_y, F in ((1, 1, 2), (2, 1, 2), (2, 2, 3)):
         params, _ = param_count(cfg, n_u, n_y, F)
         nrf = n_u * F
@@ -28,8 +22,8 @@ def test_param_count_degree_zero_reduction():
 
 
 def test_param_count_siso_single_rate():
-    cfg = make_config(degree_num=2, degree_transient=2, degree_den=2,
-                      half_window=10)
+    cfg = LocalModelConfig(degree_num=2, degree_transient=2, degree_den=2,
+                           half_window=10)
     params, data = param_count(cfg, n_u=1, n_y=1, factor=1)
     assert params == 16
     assert data == 42
@@ -41,14 +35,13 @@ def random_spectra(rng, n_r, m):
 
 def test_constant_model_recovered_exactly():
     rng = np.random.default_rng(0)
-    m, n_r, n_z = 96, 2, 3
-    R = random_spectra(rng, n_r, m)
-    G0 = random_spectra(rng, n_z, n_r)
-    T0 = random_spectra(rng, n_z, 1)[:, 0]
-    Z = G0 @ R + T0[:, None]
-    for den in ("diagonal", "full"):
-        cfg = make_config(half_window=12, denominator=den)
-        fit = fit_local(Z, R, 40, cfg)
+    m = 96
+    for n_r, n_z in ((2, 3), (4, 5)):
+        R = random_spectra(rng, n_r, m)
+        G0 = random_spectra(rng, n_z, n_r)
+        T0 = random_spectra(rng, n_z, 1)[:, 0]
+        Z = G0 @ R + T0[:, None]
+        fit = fit_local(Z, R, 40, LocalModelConfig(half_window=12))
         assert np.abs(fit.response - G0).max() < 1e-10
         assert np.abs(fit.transient - T0).max() < 1e-10
         assert fit.residual < 1e-10
@@ -59,7 +52,7 @@ def test_polynomial_model_recovered_exactly():
     # a cubic transient, denominator identity
     rng = np.random.default_rng(1)
     m, n_r, n_z, n_w = 128, 2, 3, 15
-    cfg = make_config(half_window=n_w)
+    cfg = LocalModelConfig(half_window=n_w)
     R = random_spectra(rng, n_r, m)
     k0 = 50
     Gs = [random_spectra(rng, n_z, n_r) for _ in range(4)]
@@ -81,8 +74,8 @@ def test_matches_normal_equations_oracle():
     # normal-equations solution
     rng = np.random.default_rng(2)
     m, n_w = 64, 10
-    cfg = make_config(degree_num=1, degree_transient=1, degree_den=2,
-                      half_window=n_w)
+    cfg = LocalModelConfig(degree_num=1, degree_transient=1, degree_den=2,
+                           half_window=n_w)
     R = random_spectra(rng, 1, m)
     Z = random_spectra(rng, 1, m)
     k0 = 30
@@ -102,8 +95,8 @@ def test_matches_normal_equations_oracle():
 def test_solution_is_local_optimum():
     rng = np.random.default_rng(3)
     m, n_w = 64, 8
-    cfg = make_config(degree_num=1, degree_transient=0, degree_den=1,
-                      half_window=n_w)
+    cfg = LocalModelConfig(degree_num=1, degree_transient=0, degree_den=1,
+                           half_window=n_w)
     R = random_spectra(rng, 1, m)
     Z = random_spectra(rng, 1, m)
     k0 = 12
@@ -116,6 +109,8 @@ def test_solution_is_local_optimum():
     b = Z[0, idx]
     theta, *_ = np.linalg.lstsq(A, b, rcond=None)
     base = np.linalg.norm(A @ theta - b)
+    assert abs(fit.residual - base) < 1e-12 * base
+    assert abs(fit.response[0, 0] - theta[0]) < 1e-10
     for _ in range(1000):
         pert = theta + 1e-6 * (rng.standard_normal(4)
                                + 1j * rng.standard_normal(4))
@@ -125,7 +120,7 @@ def test_solution_is_local_optimum():
 def test_output_scaling_equivariance():
     rng = np.random.default_rng(4)
     m = 96
-    cfg = make_config(half_window=12)
+    cfg = LocalModelConfig(half_window=12)
     R = random_spectra(rng, 2, m)
     Z = random_spectra(rng, 3, m)
     c = 2.0 - 1.5j
@@ -146,31 +141,16 @@ def test_degree_monotonicity_noiseless():
     Z = (g * R[0])[None, :]
     prev = np.inf
     for rn in (0, 1, 2, 3, 4):
-        cfg = make_config(degree_num=rn, degree_transient=0, degree_den=0,
-                          half_window=n_w)
+        cfg = LocalModelConfig(degree_num=rn, degree_transient=0, degree_den=0,
+                               half_window=n_w)
         fit = fit_local(Z, R, 60, cfg)
         assert fit.residual <= prev + 1e-12
         prev = fit.residual
 
 
-def test_diagonal_matches_full_row_when_in_model_class():
-    rng = np.random.default_rng(6)
-    m, n_r = 96, 4
-    n_z = n_r + 1  # single measured output stacked under the inputs
-    R = random_spectra(rng, n_r, m)
-    G0 = random_spectra(rng, n_z, n_r)
-    T0 = random_spectra(rng, n_z, 1)[:, 0]
-    Z = G0 @ R + T0[:, None]
-    k0 = 33
-    d = fit_local(Z, R, k0, make_config(half_window=20, denominator="diagonal"))
-    f = fit_local(Z, R, k0, make_config(half_window=20, denominator="full"))
-    assert np.abs(d.response[-1] - f.response[-1]).max() < 1e-9
-    assert np.abs(d.response[-1] - G0[-1]).max() < 1e-9
-
-
 def test_rank_deficient_regressor_raises():
     m = 64
-    cfg = make_config(half_window=10)
+    cfg = LocalModelConfig(half_window=10)
     R = np.zeros((2, m), dtype=complex)
     Z = np.zeros((3, m), dtype=complex)
     with pytest.raises(LocalFitError, match="rank"):
@@ -180,7 +160,7 @@ def test_rank_deficient_regressor_raises():
 def test_condition_fallback_flag_and_warning():
     rng = np.random.default_rng(7)
     m = 96
-    cfg = make_config(half_window=12, condition_threshold=1.0)
+    cfg = LocalModelConfig(half_window=12, condition_threshold=1.0)
     R = random_spectra(rng, 2, m)
     Z = random_spectra(rng, 3, m)
     with pytest.warns(RuntimeWarning, match="falling back"):
@@ -189,7 +169,7 @@ def test_condition_fallback_flag_and_warning():
 
 
 def test_window_too_small_raises():
-    cfg = make_config(half_window=1)
+    cfg = LocalModelConfig(half_window=1)
     rng = np.random.default_rng(8)
     R = random_spectra(rng, 2, 32)
     Z = random_spectra(rng, 3, 32)
@@ -197,11 +177,28 @@ def test_window_too_small_raises():
         fit_local(Z, R, 5, cfg)
 
 
+@pytest.mark.parametrize("n_u,n_y,F", [(1, 1, 1), (2, 1, 2), (2, 2, 3)])
+def test_feasibility_check_agrees_with_fitter(n_u, n_y, F):
+    # the fitter rejects every window that param_count rejects and solves the
+    # smallest one it accepts
+    rng = np.random.default_rng(9)
+    R = random_spectra(rng, n_u * F, 64)
+    Z = random_spectra(rng, n_u * F + n_y, 64)
+    for n_w in range(1, 20):
+        cfg = LocalModelConfig(half_window=n_w)
+        params, data = param_count(cfg, n_u, n_y, F)
+        if params <= data:
+            break
+        with pytest.raises(LocalFitError, match="parameters"):
+            fit_local(Z, R, 20, cfg)
+    assert np.isfinite(fit_local(Z, R, 20, cfg).response).all()
+
+
 def test_sweep_bins_order_purity_and_failures():
     rng = np.random.default_rng(10)
     m = 64
-    cfg = make_config(degree_num=1, degree_transient=0, degree_den=1,
-                      half_window=8)
+    cfg = LocalModelConfig(degree_num=1, degree_transient=0, degree_den=1,
+                           half_window=8)
     R = random_spectra(rng, 1, m)
     Z = random_spectra(rng, 2, m)
     assert sweep_bins(Z, R, [], cfg) == []
