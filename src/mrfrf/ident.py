@@ -1,8 +1,13 @@
 """End-to-end identification: lift the fast records, fit local models per slow
 bin, extract the lifted sensitivity blocks, and recover the fast-rate FRF on
 the full fast grid, including every bin above the slow-rate Nyquist frequency.
+
+The records are real, so their lifted spectra are Hermitian in the slow bin
+index and the local model at bin m - k is the complex conjugate of the one at
+bin k: only bins 0 ... m // 2 are fitted, and the others are their conjugates.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +162,11 @@ def identify(u_h, r_h, y_l, factor, config, condition_threshold=1e10):
     per-period DFTs are averaged coherently.  Returns an IdentResult with the
     estimated lifted sensitivity, the first-row lifted process sensitivity,
     the fast-grid FRF estimate, and per-bin diagnostics.
+
+    Local models are fitted at slow bins 0 ... m // 2 only.  Each bin j above
+    m // 2 takes the complex conjugate of bin m - j, which is exact for real
+    records, and copies its residual, condition, fallback and failure; its
+    message is prefixed "mirror of bin m - j: ".
     """
     F = int(factor)
     if u_h.rate_tag != FAST or r_h.rate_tag != FAST or y_l.rate_tag != SLOW:
@@ -192,7 +202,8 @@ def identify(u_h, r_h, y_l, factor, config, condition_threshold=1e10):
     Z = np.vstack([U, Y])
     m = Z.shape[1]
 
-    fits = sweep_bins(Z, R, range(m), config)
+    half = m // 2 + 1
+    fits = sweep_bins(Z, R, range(half), config)
     nrf = nu * F
     sens = np.empty((m, nrf, nrf), dtype=complex)
     ps_row = np.empty((m, ny, nrf), dtype=complex)
@@ -211,6 +222,19 @@ def identify(u_h, r_h, y_l, factor, config, condition_threshold=1e10):
         if fit.failed:
             failed[k] = True
             messages[k] = fit.error
+    # real records: the upper half of the grid mirrors the fitted half
+    upper = np.arange(half, m)
+    sens[upper] = sens[m - upper].conj()
+    ps_row[upper] = ps_row[m - upper].conj()
+    for values in (residual, fit_cond, fallback, failed):
+        values[upper] = values[m - upper]
+    for j in upper.tolist():
+        k = m - j
+        if k in messages:
+            messages[j] = f"mirror of bin {k}: {messages[k]}"
+        if fallback[k]:
+            warnings.warn(f"mirror of bin {k}: bin {j} is falling back to "
+                          f"a polynomial model", RuntimeWarning, stacklevel=2)
 
     row_data, sens_cond, sing = first_row_lifted_P(sens, ps_row,
                                                    condition_threshold)

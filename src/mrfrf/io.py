@@ -163,6 +163,12 @@ def _diagonal_only(value):
         raise ValueError(value)
 
 
+def _json_bool(value):
+    if not isinstance(value, bool):
+        raise ValueError(value)
+    return value
+
+
 def _spec(section, build, *args, **kwargs):
     """build(*args, **kwargs); a validation error the constructor raises is a
     ConfigError naming the scenario section."""
@@ -211,6 +217,11 @@ def scenario_from_dict(doc):
                       shaping=shaping)
     loop = _spec("plant/controller/filters/F", MultirateLoopSpec, plant,
                  controller, factor, input_filters=filters, noise=noise)
+    if ("dh_channel" in nd or noise.dh_std > 0) and \
+            not 0 <= noise.dh_channel < loop.n_inputs:
+        raise ConfigError(f"scenario field 'noise.dh_channel' names input "
+                          f"{noise.dh_channel} of a plant with "
+                          f"{loop.n_inputs} inputs")
     ed = doc.get("excitation", {})
     seed = _field(doc, "seed", int, 1234)
     excitation = _spec(
@@ -222,7 +233,7 @@ def scenario_from_dict(doc):
                    BENCH_RMS[:plant.n_inputs], "excitation."),
         seed=_field(ed, "seed", int, seed, "excitation."),
         phase_scheme=ed.get("scheme", "random"),
-        excite_dc=bool(ed.get("excite_dc", False)),
+        excite_dc=_field(ed, "excite_dc", _json_bool, False, "excitation."),
     )
     ld = doc.get("lrm", {})
     _field(ld, "denominator", _diagonal_only, "diagonal", "lrm.")
@@ -248,7 +259,7 @@ def scenario_to_dict(scenario, plant_doc=None, controller_doc=None):
                     else system_to_dict(loop.input_filters)),
         "noise": {
             "eh_std": noise.eh_std, "el_std": noise.el_std,
-            "dh_std": noise.dh_std, "dh_channel": noise.dh_channel,
+            "dh_std": noise.dh_std,
             "H": (None if noise.shaping is None
                   else system_to_dict(noise.shaping)),
         },
@@ -264,6 +275,10 @@ def scenario_to_dict(scenario, plant_doc=None, controller_doc=None):
         "ident_periods": scenario.ident_periods,
         "seed": scenario.seed,
     }
+    if noise.dh_std > 0:
+        # only used with dh_std > 0; a loaded channel must name a plant
+        # input, which the default (1) does not for a single-input plant
+        doc["noise"]["dh_channel"] = noise.dh_channel
     return doc
 
 

@@ -183,8 +183,9 @@ def _failed_result(k, n_z, n_r, message):
 def sweep_bins(Z, R, bins, config):
     """Independent local fits at each requested bin, in input order.
 
-    Per-bin failures are recorded in the corresponding result instead of
-    aborting the sweep.
+    Per-bin failures (an unidentifiable model, or a solve that does not
+    converge) are recorded in the corresponding result instead of aborting
+    the sweep.
     """
     n_z, n_r = Z.shape[0], R.shape[0]
     results = []
@@ -193,4 +194,7 @@ def sweep_bins(Z, R, bins, config):
             results.append(fit_local(Z, R, int(k), config))
         except LocalFitError as e:
             results.append(_failed_result(int(k), n_z, n_r, str(e)))
+        except np.linalg.LinAlgError as e:
+            results.append(_failed_result(
+                int(k), n_z, n_r, f"least-squares solve failed at bin {k}: {e}"))
     return results

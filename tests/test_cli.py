@@ -129,6 +129,20 @@ def test_bad_scenario_field_is_config_error(tmp_path, capsys):
         assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dh_std", [0.0, 1e-9])
+def test_disturbance_channel_out_of_range_exit_code_2(tmp_path, capsys,
+                                                      dh_std):
+    from mrfrf.bench import build_benchmark_scenario
+
+    doc = mio.scenario_to_dict(build_benchmark_scenario("default"))
+    doc["noise"].update(dh_std=dh_std, dh_channel=7)
+    path = tmp_path / "scenario.json"
+    mio.write_json(path, doc)
+    rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "noise.dh_channel" in capsys.readouterr().err
+
+
 def test_program_error_propagates(scenario_path, sim_dir, tmp_path,
                                   monkeypatch):
     from mrfrf import cli

@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from mrfrf.errors import DataFormatError, RateError
-from mrfrf.ident import (data_row_to_lifted_row, first_row_lifted_P, identify,
-                         recover_P)
+from mrfrf.ident import (_averaged_lifted_spectra, data_row_to_lifted_row,
+                         first_row_lifted_P, identify, recover_P)
 from mrfrf.loopsim import MultirateLoopSpec, simulate
-from mrfrf.lrm import LocalModelConfig
+from mrfrf.lrm import LocalModelConfig, sweep_bins
 from mrfrf.lti import RationalTF, dft_grid, freq_response
 from mrfrf.multirate import SignalRecord, lift_frf, lifted_loop_frf
 from mrfrf.spectral import MultisineSpec, multisine
@@ -105,14 +107,14 @@ def test_recover_flag_propagation():
     assert np.isfinite(frf.values[[0, 1, 2, 4]]).all()
 
 
-def bench_like_loop(rng, n=240):
+def bench_like_loop(rng, factor=F):
     plant = random_stable_plant(rng, 1, 2, order=3, sample_time=TS)
     ctrl = RationalTF(
         (((0.02, 0.02),), ((0.08, -0.03),)),
         (((1.0, -0.4),), ((1.0, -0.2),)),
-        F * TS,
+        factor * TS,
     )
-    return MultirateLoopSpec(plant, ctrl, F), plant
+    return MultirateLoopSpec(plant, ctrl, factor), plant
 
 
 def run_ident(loop, n, seed=5, periods=4, ident_periods=1, noise=None,
@@ -122,7 +124,8 @@ def run_ident(loop, n, seed=5, periods=4, ident_periods=1, noise=None,
     cfg = config or LocalModelConfig(half_window=15)
     return identify(sim.u_h.last_periods(ident_periods),
                     sim.r_h.last_periods(ident_periods),
-                    sim.y_l.last_periods(ident_periods), F, cfg), sim
+                    sim.y_l.last_periods(ident_periods), loop.factor,
+                    cfg), sim
 
 
 @pytest.mark.parametrize("name,ch,sample", [("u_h", 1, 37), ("y_l", 0, 5)])
@@ -153,7 +156,12 @@ def test_identify_noiseless_accuracy_and_symmetry():
     assert np.percentile(rel, 95) < 5e-3
     assert rel.max() < 2e-2
     assert not result.flags.any()
-    # conjugate symmetry of the estimate for real data
+    # conjugate symmetry of the estimate for real data: exact in the fitted
+    # blocks, up to rounding in the per-bin recovery prefactors
+    m = n // F
+    for k in range(1, (m + 1) // 2):
+        assert np.array_equal(result.sensitivity[m - k],
+                              result.sensitivity[k].conj())
     v = result.frf.values
     for k in range(1, n):
         assert np.abs(v[k] - np.conj(v[n - k])).max() < 1e-8 * np.abs(v[k]).max()
@@ -265,3 +273,66 @@ def test_identify_flags_unidentifiable_bins():
     for k in failed_slow:
         assert result.flags[k] and result.flags[k + n // F]
         assert np.isnan(result.frf.values[k]).all()
+    # failures above m // 2 are copied from the fitted bin they mirror
+    m = n // F
+    d = result.diagnostics
+    upper = np.arange(m // 2 + 1, m)
+    assert np.array_equal(d.failed[upper], d.failed[m - upper])
+    mirrored = [k for k in upper if "rank" in d.messages.get(m - k, "")]
+    assert mirrored
+    for k in mirrored:
+        assert d.messages[k] == f"mirror of bin {m - k}: {d.messages[m - k]}"
+
+
+def _rel(a, b):
+    """Largest per-bin deviation of a from b, relative to b's block norm."""
+    return (np.linalg.norm(a - b, axis=(1, 2))
+            / np.linalg.norm(b, axis=(1, 2))).max()
+
+
+@pytest.mark.parametrize("factor,m", [(2, 120), (2, 121), (3, 80)])
+def test_identify_mirrors_the_upper_half_of_the_slow_grid(factor, m):
+    # bins above m // 2 are the conjugates of the fitted half, which is what
+    # fitting them directly gives for real records
+    loop, _ = bench_like_loop(np.random.default_rng(12), factor)
+    cfg = LocalModelConfig(half_window=16)
+    result, sim = run_ident(loop, factor * m, periods=3, config=cfg)
+    upper = np.arange(m // 2 + 1, m)
+    for name in ("sensitivity", "process_sens_row"):
+        blocks = getattr(result, name)
+        assert np.array_equal(blocks[upper], blocks[m - upper].conj())
+    row = result.lifted_row
+    assert _rel(row[upper], row[m - upper].conj()) < 1e-13
+
+    U, R, Y = _averaged_lifted_spectra(sim.u_h.last_periods(1),
+                                       sim.r_h.last_periods(1),
+                                       sim.y_l.last_periods(1), factor)
+    direct = sweep_bins(np.vstack([U, Y]), R, range(m), cfg)
+    resp = np.stack([fit.response for fit in direct])
+    nrf = 2 * factor
+    sens, ps_row = resp[:, :nrf], resp[:, nrf:]
+    lower = np.arange(m // 2 + 1)
+    assert np.array_equal(result.sensitivity[lower], sens[lower])
+    assert np.array_equal(result.process_sens_row[lower], ps_row[lower])
+    assert _rel(result.sensitivity[upper], sens[upper]) < 1e-12
+    assert _rel(result.process_sens_row[upper], ps_row[upper]) < 1e-12
+    # the residual is small against the data, so its rounding is larger
+    for name, attr in (("residual", "residual"),
+                       ("fit_condition", "condition")):
+        ref = np.array([getattr(fit, attr) for fit in direct])
+        got = getattr(result.diagnostics, name)
+        assert np.array_equal(got[lower], ref[lower])
+        assert np.allclose(got, ref, rtol=1e-10, atol=0)
+
+
+def test_identify_warns_once_per_fallback_bin_mirrors_included():
+    loop, _ = bench_like_loop(np.random.default_rng(13))
+    n = 240
+    cfg = LocalModelConfig(half_window=15, condition_threshold=0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result, _ = run_ident(loop, n, periods=3, config=cfg)
+    warned = sum("falling back to a polynomial model" in str(w.message)
+                 for w in caught)
+    assert warned == result.diagnostics.fallback.sum() == n // F
+

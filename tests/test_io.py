@@ -92,6 +92,8 @@ def test_scenario_roundtrip(tmp_path):
     ("lrm", "half_window", 0, "section 'lrm'"),
     ("lrm", "denominator", "full", "lrm[.]denominator"),
     ("lrm", "denominator", "banana", "lrm[.]denominator"),
+    ("excitation", "excite_dc", "false", "excitation.excite_dc"),
+    ("excitation", "excite_dc", 1, "excitation.excite_dc"),
 ])
 def test_scenario_bad_field_names_it(section, key, value, name):
     from mrfrf.errors import ConfigError
@@ -100,6 +102,36 @@ def test_scenario_bad_field_names_it(section, key, value, name):
     doc[section][key] = value
     with pytest.raises(ConfigError, match=name):
         mio.scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("dh_std", [0.0, 1e-9])
+@pytest.mark.parametrize("channel", [7, -1])
+def test_scenario_disturbance_channel_checked_at_load(dh_std, channel):
+    from mrfrf.errors import ConfigError
+
+    doc = mio.scenario_to_dict(build_benchmark_scenario("default"))
+    doc["noise"].update(dh_std=dh_std, dh_channel=channel)
+    with pytest.raises(ConfigError, match="noise.dh_channel"):
+        mio.scenario_from_dict(doc)
+    doc["noise"]["dh_channel"] = 0
+    assert mio.scenario_from_dict(doc).loop.noise.dh_channel == 0
+
+
+def test_scenario_roundtrip_single_input_plant():
+    from dataclasses import replace
+
+    from mrfrf.loopsim import MultirateLoopSpec, surrogate_plant
+    from mrfrf.lti import RationalTF
+
+    sc = build_benchmark_scenario("default")
+    ts = sc.loop.plant.sample_time
+    loop = MultirateLoopSpec(surrogate_plant("vcm-like", ts),
+                             RationalTF.siso([0.01, 0.0], [1.0, -0.5], 2 * ts),
+                             2)
+    sc = replace(sc, loop=loop,
+                 excitation=replace(sc.excitation, n_channels=1, rms=(1.0,)))
+    back = mio.scenario_from_dict(mio.scenario_to_dict(sc))
+    assert back.loop.noise == sc.loop.noise
 
 
 def test_scenario_lrm_defaults_and_diagonal_denominator():

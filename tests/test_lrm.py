@@ -212,3 +212,24 @@ def test_sweep_bins_order_purity_and_failures():
     assert bad[0].failed
     assert "rank" in bad[0].error
 
+
+
+def test_sweep_bins_withholds_bins_whose_solve_fails():
+    # a NaN makes the SVD of every window covering it fail to converge; those
+    # bins are withheld with a message, the rest of the sweep is unaffected
+    rng = np.random.default_rng(11)
+    m, n_w, bad_bin = 40, 5, 10
+    cfg = LocalModelConfig(degree_num=1, degree_transient=1, degree_den=1,
+                           half_window=n_w)
+    R = random_spectra(rng, 1, m)
+    Z = random_spectra(rng, 2, m)
+    Z[0, bad_bin] = np.nan
+    out = sweep_bins(Z, R, range(m), cfg)
+    covered = [abs(k - bad_bin) <= n_w for k in range(m)]
+    assert [r.failed for r in out] == covered
+    for r in out:
+        if r.failed:
+            assert f"solve failed at bin {r.center_bin}" in r.error
+            assert np.isnan(r.response).all()
+        else:
+            assert np.isfinite(r.response).all()
