@@ -60,19 +60,13 @@ def first_row_lifted_P(sens, ps_row, condition_threshold=1e10):
     ny, nrf = ps_row.shape[1], ps_row.shape[2]
     row = np.full((m, ny, nrf), np.nan + 0j)
     cond = np.full(m, np.inf)
-    flagged = np.zeros(m, dtype=bool)
-    for k in range(m):
-        s = sens[k]
-        if not np.all(np.isfinite(s)):
-            flagged[k] = True
-            continue
-        c = float(np.linalg.cond(s))
-        cond[k] = c
-        if not np.isfinite(c) or c > condition_threshold:
-            flagged[k] = True
-            continue
-        # row = ps_row @ inv(s) via a transposed solve
-        row[k] = np.linalg.solve(s.T, ps_row[k].T).T
+    finite = np.isfinite(sens).all(axis=(1, 2))
+    cond[finite] = np.linalg.cond(sens[finite])
+    flagged = ~(cond <= condition_threshold)
+    # row = ps_row @ inv(s) via a transposed solve
+    row[~flagged] = np.linalg.solve(sens[~flagged].swapaxes(1, 2),
+                                    ps_row[~flagged].swapaxes(1, 2)
+                                    ).swapaxes(1, 2)
     return row, cond, flagged
 
 

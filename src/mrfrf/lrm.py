@@ -11,6 +11,27 @@ transient vector are read directly from the solution.  The local variable is
 normalized to r/n_w for conditioning; the estimates at the center are
 basis-independent.  Windows wrap circularly because DFT spectra are periodic
 in the bin index.
+
+Each output row i is a least-squares problem in the columns [A1 | A2_i]: A1
+holds the excitation and transient columns, the same for every row, and A2_i
+the row's denominator columns -rho^s z_i.  Columns are scaled to unit norm,
+so the condition number measures collinearity, not the unit disparity
+between excitation, transient and output columns.  Per bin, one Householder
+QR of [A1 | A2_0 z_0 | A2_1 z_1 | ...] gives R11, the triangular factor of
+A1, and above it Q1^H A2_i and Q1^H z_i; a second QR of each row's block
+below R11 gives R22_i and the projected data (Bjorck, Numerical Methods for
+Least Squares Problems, SIAM 1996).  The factor
+T_i = [[R11, Q1^H A2_i], [0, R22_i]] has the singular values of the scaled
+regressor: its rank counts those above max(W, n) eps s_max (W window rows,
+n columns), and the condition is s_max over the smallest counted one.
+Full-rank rows are solved by back-substitution.  A rank-deficient row takes
+the minimum-norm solution from an SVD of T_i; in-model data makes the
+denominator columns dependent while the center estimates stay unique, so
+that solution is accepted only when the null space has no component on them.
+
+sweep_bins solves _BLOCK bins at a time with stacked LAPACK calls, which
+factor every matrix of a stack on its own: a bin's result does not depend on
+its block or its place in it.
 """
 
 import warnings
@@ -68,78 +89,168 @@ class LocalFitResult:
 
 
 _NULL_LEAK_TOL = 1e-7
+_BLOCK = 4   # bins per stacked solve; more save little time and cost memory
 
 
-def _solve(A, b, watched):
-    """Column-equilibrated least squares with identifiability analysis.
+def _windows(Z, R, ks, config):
+    """Regressor pieces of the bins ks: the shared excitation and transient
+    columns A1 (B, W, n1), each row's denominator columns A2 (B, n_z, W, rd)
+    and the data windows (B, n_z, W)."""
+    n_w, n_r = config.half_window, R.shape[0]
+    rs = np.arange(-n_w, n_w + 1)
+    rho = rs / n_w
+    idx = (np.asarray(ks, dtype=int)[:, None] + rs) % Z.shape[1]
+    Rw = np.moveaxis(R[:, idx], 0, -1)
+    Zw = np.moveaxis(Z[:, idx], 0, 1)
+    n_exc = n_r * (config.degree_num + 1)
+    A1 = np.empty(Rw.shape[:2] + (n_exc + config.degree_transient + 1,),
+                  dtype=complex)
+    for s in range(config.degree_num + 1):
+        A1[..., s * n_r:(s + 1) * n_r] = (rho ** s)[:, None] * Rw
+    for s in range(config.degree_transient + 1):
+        A1[..., n_exc + s] = rho ** s
+    A2 = np.empty(Zw.shape + (config.degree_den,), dtype=complex)
+    for s in range(1, config.degree_den + 1):
+        A2[..., s - 1] = -(rho ** s) * Zw
+    return A1, A2, Zw
 
-    Unit-norm column scaling removes the (often enormous) unit disparity
-    between excitation, transient, and output columns, so the reported
-    condition number measures genuine collinearity; the solution itself is
-    invariant under the rescaling.
 
-    Data lying exactly in the model class makes the denominator columns
-    linear combinations of the others, so the regressor is rank deficient
-    even though the center estimates stay unique (the normalization pins the
-    denominator at the center).  `watched` lists the coordinates holding the
-    center estimates; deficiency is benign exactly when the null space has no
-    component on them, in which case the minimum-norm solution is returned.
-    Otherwise the deficiency leaks into the estimates and `leak` is large.
+def _unit_scale(A):
+    norms = np.linalg.norm(A, axis=-2, keepdims=True)
+    return np.where(norms > 0, norms, 1.0)
+
+
+def _solve(Z, R, ks, config):
+    """Fit the bins ks with the settings in config, without the fallback.
+
+    Returns one outcome per bin: a LocalFitResult, or the exception that
+    failed the fit (LocalFitError for an unidentifiable model,
+    LinAlgError for a window holding a non-finite value).  Stacked LAPACK
+    calls raise LinAlgError for the whole block.
     """
-    norms = np.linalg.norm(A, axis=0)
-    scale = np.where(norms > 0, norms, 1.0)
-    a_eq = A / scale
-    u, s, vh = np.linalg.svd(a_eq, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    tol = max(a_eq.shape) * np.finfo(float).eps * smax
-    rank = int(np.sum(s > tol))
-    if rank == 0:
-        return np.zeros(A.shape[1], dtype=complex), np.inf, True, 1.0
-    proj = u[:, :rank].conj().T @ b
-    theta_eq = vh[:rank].conj().T @ (proj / s[:rank])
-    cond = float(s[0] / s[rank - 1])
-    leak = 0.0
-    if rank < s.size:
-        leak = float(np.abs(vh[rank:][:, watched]).max())
-    return theta_eq / scale, cond, rank < s.size, leak
+    n_z, n_r = Z.shape[0], R.shape[0]
+    rn, rd = config.degree_num, config.degree_den
+    W = 2 * config.half_window + 1
+    n1 = n_r * (rn + 1) + config.degree_transient + 1
+    n = n1 + rd
+    if R.shape[1] != Z.shape[1]:
+        return [LocalFitError("Z and R must share the same bin grid")
+                for _ in ks]
+    if W < n:
+        return [LocalFitError(f"window supplies {W} rows per output for {n} "
+                              f"parameters at bin {k}") for k in ks]
+    out = [None] * len(ks)
+    A1, A2, Zw = _windows(Z, R, ks, config)
+    finite = np.isfinite(A1).all(axis=(1, 2)) & np.isfinite(Zw).all(axis=(1, 2))
+    for j in np.nonzero(~finite)[0]:
+        out[j] = np.linalg.LinAlgError("non-finite value in the window")
+    good = np.nonzero(finite)[0]
+    if not good.size:
+        return out
+    A1, A2, Zw = A1[good], A2[good], Zw[good]
+    B = good.size
 
+    # one QR per bin of [A1 | A2_0 z_0 | A2_1 z_1 | ...], columns scaled
+    s1, s2 = _unit_scale(A1), _unit_scale(A2)
+    M = np.empty((B, W, n1 + n_z * (rd + 1)), dtype=complex)
+    np.divide(A1, s1, out=M[..., :n1])
+    rows = M[..., n1:].reshape(B, W, n_z, rd + 1)
+    np.divide(np.moveaxis(A2, 1, 2), np.moveaxis(s2, 1, 2),
+              out=rows[..., :rd])
+    rows[..., rd] = np.moveaxis(Zw, 1, 2)
+    Rf = np.linalg.qr(M, mode="r")
+    del M, rows
+    R11 = Rf[:, :n1, :n1]
+    top = Rf[:, :n1, n1:].reshape(B, n1, n_z, rd + 1).swapaxes(1, 2)
+    # each row's columns projected off A1, reduced by a second QR to R22_i
+    # (its first rd rows; with rd = 0 nothing is left)
+    trail = Rf[:, n1:, n1:].reshape(B, -1, n_z, rd + 1).swapaxes(1, 2)
+    R2 = np.linalg.qr(trail, mode="r")[..., :rd, :]
+    T = np.zeros((B, n_z, n, n), dtype=complex)
+    T[..., :n1, :n1] = R11[:, None]
+    T[..., :n1, n1:] = top[..., :rd]
+    T[..., n1:, n1:] = R2[..., :rd]
 
-def _fit(Z, R, k, config, rs, idx):
-    n_z = Z.shape[0]
-    n_r = R.shape[0]
-    rho = rs / config.half_window
-    rn, rm, rd = config.degree_num, config.degree_transient, config.degree_den
-    n_cols = n_r * (rn + 1) + (rm + 1) + rd
-    if len(rs) < n_cols:
-        raise LocalFitError(
-            f"window supplies {len(rs)} rows per output for {n_cols} "
-            f"parameters at bin {k}"
-        )
-    Rw = R[:, idx].T
-    # excitation and transient columns are the same for every output row
-    shared = [(rho ** s)[:, None] * Rw for s in range(rn + 1)]
-    shared.extend((rho ** s)[:, None] for s in range(rm + 1))
+    s = np.linalg.svd(T, compute_uv=False)
+    tol = max(W, n) * np.finfo(float).eps * s[..., :1]
+    rank = np.sum(s > tol, axis=-1)
+    cond = np.full(rank.shape, np.inf)
+    some = rank > 0
+    cond[some] = s[some, 0] / s[some, rank[some] - 1]
+    # back-substitution for the full-rank rows: R22_i first, then one solve
+    # with R11 for every row of the bin
+    full = rank == n
+    theta = np.zeros((B, n_z, n), dtype=complex)
+    theta[full, n1:] = np.linalg.solve(R2[full][..., :rd],
+                                       R2[full][..., rd:])[..., 0]
+    live = full.any(axis=-1)
+    rhs = top[..., rd] - (top[..., :rd] @ theta[..., n1:, None])[..., 0]
+    theta[live, :, :n1] = np.linalg.solve(
+        R11[live], rhs[live].swapaxes(1, 2)).swapaxes(1, 2)
+    # rank-deficient rows: minimum-norm solution, accepted only when the null
+    # space leaves the center estimates alone
     watched = list(range(n_r)) + [n_r * (rn + 1)]
-    response = np.zeros((n_z, n_r), dtype=complex)
-    transient = np.zeros(n_z, dtype=complex)
-    res_sq = 0.0
-    cond_max = 0.0
-    for i in range(n_z):
-        zi = Z[i, idx]
-        A = np.hstack(shared + [-(rho ** s)[:, None] * zi[:, None]
-                                for s in range(1, rd + 1)])
-        theta, cond, deficient, leak = _solve(A, zi, watched)
-        if deficient and leak > _NULL_LEAK_TOL:
-            raise LocalFitError(
+    leak = np.zeros(rank.shape)
+    for b, i in np.argwhere(~full):
+        r = rank[b, i]
+        u, sv, vh = np.linalg.svd(T[b, i])
+        c = np.concatenate([top[b, i, :, rd], R2[b, i, :, rd]])
+        theta[b, i] = vh[:r].conj().T @ ((u[:, :r].conj().T @ c) / sv[:r])
+        leak[b, i] = np.abs(vh[r:][:, watched]).max() if r else 1.0
+
+    theta[..., :n1] /= s1
+    theta[..., n1:] /= s2[:, :, 0]
+    fitted = (A1 @ theta[..., :n1].swapaxes(1, 2)).swapaxes(1, 2) \
+        + (A2 @ theta[..., n1:, None])[..., 0]
+    res = np.sqrt(np.sum(np.sum(np.abs(fitted - Zw) ** 2, axis=-1), axis=-1))
+    leaky = (rank < n) & (leak > _NULL_LEAK_TOL)
+    for b, j in enumerate(good):
+        k = ks[j]
+        if leaky[b].any():
+            i = int(np.argmax(leaky[b]))
+            out[j] = LocalFitError(
                 f"rank-deficient regressor at bin {k}, output row {i}: "
-                f"estimates not identifiable (null-space leakage {leak:.2e}, "
-                f"condition {cond:.3e})"
-            )
-        response[i] = theta[:n_r]
-        transient[i] = theta[n_r * (rn + 1)]
-        res_sq += float(np.sum(np.abs(A @ theta - zi) ** 2))
-        cond_max = max(cond_max, cond)
-    return response, transient, np.sqrt(res_sq), cond_max
+                f"estimates not identifiable (null-space leakage "
+                f"{leak[b, i]:.2e}, condition {cond[b, i]:.3e})")
+            continue
+        out[j] = LocalFitResult(k, theta[b, :, :n_r].copy(),
+                                theta[b, :, n_r * (rn + 1)].copy(),
+                                float(res[b]), float(cond[b].max()))
+    return out
+
+
+def _solve_or_split(Z, R, ks, config):
+    """_solve on the block ks; if a stacked call fails, bin by bin."""
+    try:
+        return _solve(Z, R, ks, config)
+    except np.linalg.LinAlgError as e:
+        if len(ks) == 1:
+            return [e]
+        return [fit for k in ks for fit in _solve_or_split(Z, R, [k], config)]
+
+
+def _fit_bins(Z, R, ks, config):
+    """Local fits at the center bins ks, with the polynomial fallback.
+
+    Returns one LocalFitResult or exception per bin, in the order of ks.
+    """
+    fits = _solve_or_split(Z, R, ks, config)
+    refit = [j for j, fit in enumerate(fits)
+             if isinstance(fit, LocalFitResult) and config.degree_den > 0
+             and fit.condition > config.condition_threshold]
+    for j in refit:
+        warnings.warn(
+            f"condition {fits[j].condition:.3e} above threshold at bin "
+            f"{ks[j]}; falling back to a polynomial model",
+            RuntimeWarning, stacklevel=3,
+        )
+    if refit:
+        cfg0 = replace(config, degree_den=0)
+        polys = _solve_or_split(Z, R, [ks[j] for j in refit], cfg0)
+        for j, fit in zip(refit, polys):
+            fits[j] = replace(fit, fallback=True) \
+                if isinstance(fit, LocalFitResult) else fit
+    return fits
 
 
 def fit_local(Z, R, k, config):
@@ -152,26 +263,13 @@ def fit_local(Z, R, k, config):
     residual norm, and window condition number (the worst row).  When the
     condition exceeds the configured threshold the fit falls back to a pure
     local polynomial (denominator fixed to identity) and the result is marked
-    accordingly.
+    accordingly.  An unidentifiable model raises LocalFitError, a window with
+    a non-finite value np.linalg.LinAlgError.
     """
-    n_bins = Z.shape[1]
-    if R.shape[1] != n_bins:
-        raise LocalFitError("Z and R must share the same bin grid")
-    rs = np.arange(-config.half_window, config.half_window + 1)
-    idx = (k + rs) % n_bins
-    response, transient, res, cond = _fit(Z, R, k, config, rs, idx)
-    fallback = False
-    if cond > config.condition_threshold and config.degree_den > 0:
-        warnings.warn(
-            f"condition {cond:.3e} above threshold at bin {k}; "
-            f"falling back to a polynomial model",
-            RuntimeWarning, stacklevel=2,
-        )
-        cfg0 = replace(config, degree_den=0)
-        response, transient, res, cond = _fit(Z, R, k, cfg0, rs, idx)
-        fallback = True
-    return LocalFitResult(k, response, transient, res, cond,
-                          fallback=fallback)
+    fit, = _fit_bins(Z, R, [int(k)], config)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def _failed_result(k, n_z, n_r, message):
@@ -183,18 +281,20 @@ def _failed_result(k, n_z, n_r, message):
 def sweep_bins(Z, R, bins, config):
     """Independent local fits at each requested bin, in input order.
 
-    Per-bin failures (an unidentifiable model, or a solve that does not
-    converge) are recorded in the corresponding result instead of aborting
-    the sweep.
+    The bins are solved in blocks of _BLOCK.  Per-bin failures (an
+    unidentifiable model, or a solve that does not converge) are recorded in
+    the corresponding result instead of aborting the sweep.
     """
     n_z, n_r = Z.shape[0], R.shape[0]
+    ks = [int(k) for k in bins]
     results = []
-    for k in bins:
-        try:
-            results.append(fit_local(Z, R, int(k), config))
-        except LocalFitError as e:
-            results.append(_failed_result(int(k), n_z, n_r, str(e)))
-        except np.linalg.LinAlgError as e:
-            results.append(_failed_result(
-                int(k), n_z, n_r, f"least-squares solve failed at bin {k}: {e}"))
+    for start in range(0, len(ks), _BLOCK):
+        block = ks[start:start + _BLOCK]
+        for k, fit in zip(block, _fit_bins(Z, R, block, config)):
+            if isinstance(fit, np.linalg.LinAlgError):
+                fit = _failed_result(
+                    k, n_z, n_r, f"least-squares solve failed at bin {k}: {fit}")
+            elif isinstance(fit, LocalFitError):
+                fit = _failed_result(k, n_z, n_r, str(fit))
+            results.append(fit)
     return results

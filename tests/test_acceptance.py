@@ -7,7 +7,6 @@ complete.  Every tolerance is fixed here; nothing is calibrated at runtime.
 import time
 
 import numpy as np
-import pytest
 
 from mrfrf.bench import (build_benchmark_scenario, run_benchmark,
                          scenario_feasibility, true_plant_frf)
@@ -24,15 +23,6 @@ def _verdict(num, ok, detail):
     line = f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
     assert ok, line
-
-
-@pytest.fixture(scope="module")
-def benchmark_run():
-    t0 = time.perf_counter()
-    scenario = build_benchmark_scenario("default")
-    result, report, sim = run_benchmark(scenario)
-    elapsed = time.perf_counter() - t0
-    return scenario, result, report, sim, elapsed
 
 
 def test_criterion_1_configuration_fidelity():
@@ -134,8 +124,8 @@ def test_criterion_5_simulator_oracle_agreement():
                     f"deviation {err:.3e} < 1e-8, {elapsed:.1f}s")
 
 
-def test_criterion_6_lifted_state_space_oracle(benchmark_run):
-    scenario, result, _, _, _ = benchmark_run
+def test_criterion_6_lifted_state_space_oracle(default_run):
+    scenario, result, _, _, _ = default_run
     oracle = lifted_loop_frf(scenario.loop.plant, scenario.loop.controller,
                              scenario.loop.factor, result.n_slow_bins,
                              scenario.loop.input_filters)
@@ -151,8 +141,8 @@ def test_criterion_6_lifted_state_space_oracle(benchmark_run):
              f"bin: max relative deviation {worst:.3e} < 1e-3")
 
 
-def test_criterion_7_end_to_end_noiseless(benchmark_run):
-    scenario, result, report, _, elapsed = benchmark_run
+def test_criterion_7_end_to_end_noiseless(default_run):
+    scenario, result, report, _, elapsed = default_run
     truth = true_plant_frf(scenario)
     rel = report.rel_error
     p95 = float(np.percentile(rel[np.isfinite(rel)], 95))

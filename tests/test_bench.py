@@ -109,9 +109,8 @@ def test_run_benchmark_reproducible():
     assert rep1.peak_amplitude == rep2.peak_amplitude
 
 
-def test_peak_amplitude_reported_with_bound():
-    sc = build_benchmark_scenario("default")
-    _, report, sim = run_benchmark(sc)
+def test_peak_amplitude_reported_with_bound(default_run):
+    _, _, report, sim, _ = default_run
     assert len(report.peak_amplitude) == 2
     assert report.peak_amplitude[0] == pytest.approx(
         np.abs(sim.u_h.data[0]).max())
@@ -137,13 +136,12 @@ def test_more_periods_do_not_worsen_median_error():
         assert medians[2] <= medians[1]
 
 
-def test_noiseless_sweep_residual_energy():
+def test_noiseless_sweep_residual_energy(default_run):
     # every local fit's residual energy stays far below the windowed signal
     # energy on a noiseless run
     from mrfrf.multirate import lift
 
-    sc = build_benchmark_scenario("default")
-    result, _, sim = run_benchmark(sc)
+    sc, result, _, sim, _ = default_run
     F = sc.loop.factor
     u1 = sim.u_h.period(-1)
     U = np.fft.fft(lift(u1, F).data, axis=1)

@@ -58,6 +58,29 @@ def test_first_row_flags_singular_bins():
     assert np.isnan(row[2]).all()
 
 
+def test_first_row_equals_per_bin_loop_bit_for_bit():
+    # the stacked cond/solve against one bin at a time, with a non-finite,
+    # a singular and an ill-conditioned bin among well-conditioned ones
+    rng = np.random.default_rng(4)
+    m, thr = 16, 1e8
+    sens = rng.standard_normal((m, 4, 4)) + 1j * rng.standard_normal((m, 4, 4))
+    ps = rng.standard_normal((m, 1, 4)) + 1j * rng.standard_normal((m, 1, 4))
+    sens[3, 1, 2] = np.nan
+    sens[5, 0, :] = 0.0
+    sens[7, :, 0] = sens[7, :, 1] * (1 + 1e-10)
+    row, cond, flagged = first_row_lifted_P(sens, ps, thr)
+    for k in range(m):
+        c = np.linalg.cond(sens[k]) if np.isfinite(sens[k]).all() else np.inf
+        assert cond[k].tobytes() == np.float64(c).tobytes()
+        assert flagged[k] == (not c <= thr)
+        if not flagged[k]:
+            ref = np.linalg.solve(sens[k].T, ps[k].T).T
+            assert row[k].tobytes() == ref.tobytes()
+        else:
+            assert np.isnan(row[k]).all()
+    assert flagged[[3, 5, 7]].all() and flagged.sum() == 3
+
+
 def test_recover_constant_gain_row():
     m, n = 16, 32
     row = np.zeros((m, 1, 2 * 1), dtype=complex)

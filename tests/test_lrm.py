@@ -1,3 +1,7 @@
+import re
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -215,8 +219,8 @@ def test_sweep_bins_order_purity_and_failures():
 
 
 def test_sweep_bins_withholds_bins_whose_solve_fails():
-    # a NaN makes the SVD of every window covering it fail to converge; those
-    # bins are withheld with a message, the rest of the sweep is unaffected
+    # a NaN fails every bin whose window covers it; those bins are withheld
+    # with a message, the rest of the sweep is unaffected
     rng = np.random.default_rng(11)
     m, n_w, bad_bin = 40, 5, 10
     cfg = LocalModelConfig(degree_num=1, degree_transient=1, degree_den=1,
@@ -233,3 +237,145 @@ def test_sweep_bins_withholds_bins_whose_solve_fails():
             assert np.isnan(r.response).all()
         else:
             assert np.isfinite(r.response).all()
+
+
+def regressor(Z, R, k, cfg, i):
+    """Row i's regressor and data at center bin k, built column by column."""
+    n_w = cfg.half_window
+    rs = np.arange(-n_w, n_w + 1)
+    idx = (k + rs) % Z.shape[1]
+    rho = rs / n_w
+    cols = [rho ** s * R[j, idx] for s in range(cfg.degree_num + 1)
+            for j in range(R.shape[0])]
+    cols += [rho ** s + 0j for s in range(cfg.degree_transient + 1)]
+    cols += [-rho ** s * Z[i, idx] for s in range(1, cfg.degree_den + 1)]
+    return np.stack(cols, axis=1), Z[i, idx]
+
+
+@pytest.mark.parametrize("n_r,n_z", [(4, 5), (6, 7)])
+def test_matches_lstsq_at_benchmark_shapes(n_r, n_z):
+    rng = np.random.default_rng(20)
+    m, k0 = 160, 37
+    cfg = LocalModelConfig()
+    R = random_spectra(rng, n_r, m)
+    Z = random_spectra(rng, n_z, m)
+    fit = fit_local(Z, R, k0, cfg)
+    res_sq, conds = 0.0, []
+    for i in range(n_z):
+        A, b = regressor(Z, R, k0, cfg, i)
+        theta, *_ = np.linalg.lstsq(A, b, rcond=None)
+        response, transient = theta[:n_r], theta[n_r * (cfg.degree_num + 1)]
+        assert np.abs(fit.response[i] - response).max() \
+            < 1e-12 * np.abs(response).max()
+        assert abs(fit.transient[i] - transient) < 1e-12 * abs(transient)
+        res_sq += np.linalg.norm(A @ theta - b) ** 2
+        conds.append(np.linalg.cond(A / np.linalg.norm(A, axis=0)))
+    assert abs(fit.residual - np.sqrt(res_sq)) < 1e-12 * np.sqrt(res_sq)
+    assert abs(fit.condition - max(conds)) < 1e-10 * max(conds)
+
+
+def test_rank_deficient_in_model_data_keeps_exact_estimates():
+    # a constant model puts every denominator column in the span of the
+    # excitation and transient columns: the regressor loses rd ranks, but
+    # the null space misses the center estimates
+    rng = np.random.default_rng(21)
+    m, n_r, n_z, k0 = 160, 4, 5, 50
+    cfg = LocalModelConfig()
+    R = random_spectra(rng, n_r, m)
+    G0 = random_spectra(rng, n_z, n_r)
+    T0 = random_spectra(rng, n_z, 1)[:, 0]
+    Z = G0 @ R + T0[:, None]
+    A, _ = regressor(Z, R, k0, cfg, 0)
+    assert np.linalg.matrix_rank(A) == A.shape[1] - cfg.degree_den
+    fit = fit_local(Z, R, k0, cfg)
+    assert np.abs(fit.response - G0).max() < 1e-10
+    assert np.abs(fit.transient - T0).max() < 1e-10
+    # two identical excitation rows: the null space reaches the estimates
+    R[1] = R[0]
+    with pytest.raises(LocalFitError, match="rank"):
+        fit_local(G0 @ R + T0[:, None], R, k0, cfg)
+
+
+def same_fit(a, b):
+    return (a.center_bin == b.center_bin and a.fallback == b.fallback
+            and a.error == b.error
+            and a.response.tobytes() == b.response.tobytes()
+            and a.transient.tobytes() == b.transient.tobytes()
+            and np.float64(a.residual).tobytes()
+            == np.float64(b.residual).tobytes()
+            and np.float64(a.condition).tobytes()
+            == np.float64(b.condition).tobytes())
+
+
+def test_fit_does_not_depend_on_block_or_order():
+    rng = np.random.default_rng(22)
+    m = 61
+    cfg = LocalModelConfig(half_window=12)
+    R = random_spectra(rng, 2, m)
+    Z = random_spectra(rng, 3, m)
+    swept = sweep_bins(Z, R, range(m), cfg)
+    order = rng.permutation(m)
+    shuffled = sweep_bins(Z, R, order, cfg)
+    assert [r.center_bin for r in shuffled] == order.tolist()
+    by_bin = {r.center_bin: r for r in shuffled}
+    for k in range(m):
+        single = fit_local(Z, R, k, cfg)
+        assert same_fit(swept[k], single)
+        assert same_fit(by_bin[k], single)
+
+
+def test_fallback_bins_warn_in_order_and_equal_polynomial_fits():
+    rng = np.random.default_rng(23)
+    m = 48
+    cfg = LocalModelConfig(half_window=12)
+    R = random_spectra(rng, 2, m)
+    Z = random_spectra(rng, 3, m)
+    conds = [r.condition for r in sweep_bins(Z, R, range(m), cfg)]
+    split = LocalModelConfig(half_window=12,
+                             condition_threshold=float(np.median(conds)))
+    bins = rng.permutation(m).tolist()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = sweep_bins(Z, R, bins, split)
+    warned = [int(re.search(r"at bin (\d+);", str(w.message)).group(1))
+              for w in caught if "falling back to a polynomial model"
+              in str(w.message)]
+    fell = [r.center_bin for r in out if r.fallback]
+    assert 0 < len(fell) < m
+    assert warned == fell
+    poly = replace(cfg, degree_den=0)
+    for r in out:
+        if r.fallback:
+            assert same_fit(r, replace(fit_local(Z, R, r.center_bin, poly),
+                                       fallback=True))
+        else:
+            assert same_fit(r, fit_local(Z, R, r.center_bin, cfg))
+
+
+def test_failed_stacked_call_is_solved_bin_by_bin(monkeypatch):
+    # a LinAlgError from a stacked QR re-solves its block one bin at a time:
+    # the other bins come out unchanged, the bin that fails alone is withheld
+    rng = np.random.default_rng(24)
+    m, bad = 20, 13
+    cfg = LocalModelConfig(degree_num=1, degree_transient=1, degree_den=1,
+                           half_window=5)
+    R = random_spectra(rng, 1, m)
+    Z = random_spectra(rng, 2, m)
+    clean = sweep_bins(Z, R, range(m), cfg)
+    qr = np.linalg.qr
+
+    def failing_qr(a, mode="reduced"):
+        # column 5 of the first stacked QR holds z_0, unscaled; its center
+        # row is Z[0, k] for each bin k of the block
+        if a.ndim == 3 and np.any(a[:, 5, 5] == Z[0, bad]):
+            raise np.linalg.LinAlgError("injected")
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", failing_qr)
+    out = sweep_bins(Z, R, range(m), cfg)
+    for k in range(m):
+        if k == bad:
+            assert out[k].failed
+            assert out[k].error == f"least-squares solve failed at bin {k}: injected"
+        else:
+            assert same_fit(out[k], clean[k])
