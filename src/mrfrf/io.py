@@ -6,6 +6,7 @@ Every format carries a format_version marker (a leading comment line for CSV).
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -27,44 +28,103 @@ def _fmt(x):
     return repr(float(x))
 
 
+_CHUNK_ROWS = 4096
+
+
+def _csv_chunks(data):
+    """CSV text of the columns of data (channels x samples), yielded a chunk
+    of rows at a time so that the whole text is never held at once."""
+    row = ",".join(["%r"] * data.shape[0]) + "\n"
+    for start in range(0, data.shape[1], _CHUNK_ROWS):
+        block = data[:, start:start + _CHUNK_ROWS]
+        yield (row * block.shape[1]) % tuple(block.T.ravel().tolist())
+
+
+def _period_repeats(record):
+    """n_periods if every period is bitwise equal to the first, else 1.
+
+    Bits, not values, are compared: -0.0 == 0.0 but their reprs differ."""
+    p = record.n_periods or 1
+    if p > 1:
+        bits = record.data.view(np.uint64).reshape(
+            record.n_channels, p, record.n_samples // p)
+        if (bits == bits[:, :1]).all():
+            return p
+    return 1
+
+
 def write_signal_csv(path, record):
-    """One column per channel, header ch0..chK, version comment first."""
-    lines = [_VERSION_LINE,
-             ",".join(f"ch{c}" for c in range(record.n_channels))]
-    cols = record.data
-    for n in range(record.n_samples):
-        lines.append(",".join(_fmt(cols[c, n]) for c in range(cols.shape[0])))
+    """One column per channel, header ch0..chK, version comment first.
+
+    A periodic record (such as the tiled excitation) is formatted for one
+    period and written n_periods times."""
+    repeats = _period_repeats(record)
+    chunks = _csv_chunks(record.data[:, :record.n_samples // repeats])
+    if repeats > 1:
+        chunks = list(chunks) * repeats
+    header = ",".join(f"ch{c}" for c in range(record.n_channels))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(f"{_VERSION_LINE}\n{header}\n")
+        f.writelines(chunks)
 
 
-def read_signal_csv(path, sample_time, rate_tag=FAST, n_periods=None):
-    with open(path, "r", encoding="utf-8") as f:
-        raw = f.read().splitlines()
-    rows = [(i + 1, line) for i, line in enumerate(raw)
-            if line.strip() and not line.startswith("#")]
-    if not rows:
-        raise DataFormatError(f"{path}: no header row found")
-    header_no, header = rows[0]
-    names = header.split(",")
-    if names != [f"ch{c}" for c in range(len(names))]:
-        raise DataFormatError(f"{path}: bad header {header!r}", row=header_no)
-    data = np.empty((len(names), len(rows) - 1))
-    for j, (line_no, line) in enumerate(rows[1:]):
-        parts = line.split(",")
-        if len(parts) != len(names):
+def _parse_fast(lines, body, n_channels):
+    """One C-level parse of lines[i] for i in body, as (channels, samples),
+    or None when the per-row parse must decide: a malformed row, or a field
+    that float() reads and loadtxt does not, such as 1_0."""
+    if not body:
+        return None
+    try:
+        data = np.loadtxt((lines[i] for i in body), delimiter=",",
+                          comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape != (len(body), n_channels):
+        return None
+    return data.T
+
+
+def _parse_rows(path, lines, body, n_channels):
+    """The per-row parse; a DataFormatError names the first bad file row."""
+    data = np.empty((n_channels, len(body)))
+    for j, i in enumerate(body):
+        parts = lines[i].split(",")
+        if len(parts) != n_channels:
             raise DataFormatError(
-                f"{path}: row {line_no} has {len(parts)} fields, "
-                f"expected {len(names)}", row=line_no)
+                f"{path}: row {i + 1} has {len(parts)} fields, "
+                f"expected {n_channels}", row=i + 1)
         try:
             data[:, j] = [float(p) for p in parts]
         except ValueError:
             raise DataFormatError(
-                f"{path}: row {line_no} is not numeric", row=line_no
-            ) from None
+                f"{path}: row {i + 1} is not numeric", row=i + 1) from None
+    return data
+
+
+def read_signal_csv(path, sample_time, rate_tag=FAST, n_periods=None):
+    with open(path, "r", encoding="utf-8") as f:
+        text = f.read()
+    # loadtxt strips U+001F around a field as whitespace; float() rejects it
+    fast = "\x1f" not in text
+    lines = text.splitlines()
+    del text  # the lines hold a second copy of it
+    # indices of the lines that are neither blank nor a comment
+    kept = [i for i, line in enumerate(lines)
+            if line.strip() and line[0] != "#"]
+    if not kept:
+        raise DataFormatError(f"{path}: no header row found")
+    header = lines[kept[0]]
+    names = header.split(",")
+    if names != [f"ch{c}" for c in range(len(names))]:
+        raise DataFormatError(f"{path}: bad header {header!r}",
+                              row=kept[0] + 1)
+    body = kept[1:]
+    data = _parse_fast(lines, body, len(names)) if fast else None
+    if data is None:
+        data = _parse_rows(path, lines, body, len(names))
     finite = np.isfinite(data).all(axis=0)
     if not finite.all():
-        line_no = rows[1 + int(np.argmin(finite))][0]
+        line_no = body[int(np.argmin(finite))] + 1
         raise DataFormatError(f"{path}: row {line_no} is not finite",
                               row=line_no)
     return SignalRecord(data, sample_time, rate_tag, n_periods=n_periods)
@@ -93,18 +153,29 @@ def read_frf_entry_csv(path):
     if not rows or rows[0][1] != "k,freq_hz,re,im,flag":
         raise DataFormatError(f"{path}: missing FRF header")
     ks, vals, flags = [], [], []
-    for line_no, line in rows[1:]:
+    for index, (line_no, line) in enumerate(rows[1:]):
         parts = line.split(",")
         if len(parts) != 5:
             raise DataFormatError(f"{path}: row {line_no} malformed",
                                   row=line_no)
         try:
-            ks.append(int(parts[0]))
-            vals.append(complex(float(parts[2]), float(parts[3])))
-            flags.append(bool(int(parts[4])))
+            k, flag = int(parts[0]), int(parts[4])
+            _, re, im = (float(p) for p in parts[1:4])
         except ValueError:
             raise DataFormatError(f"{path}: row {line_no} is not numeric",
                                   row=line_no) from None
+        if k != index:
+            raise DataFormatError(f"{path}: row {line_no} has k={k}, "
+                                  f"expected {index}", row=line_no)
+        if flag not in (0, 1):
+            raise DataFormatError(f"{path}: row {line_no} has flag {flag}, "
+                                  f"expected 0 or 1", row=line_no)
+        if not flag and not (math.isfinite(re) and math.isfinite(im)):
+            raise DataFormatError(f"{path}: row {line_no} is not finite on "
+                                  f"an unflagged bin", row=line_no)
+        ks.append(k)
+        vals.append(complex(re, im))
+        flags.append(bool(flag))
     return np.asarray(ks), np.asarray(vals), np.asarray(flags)
 
 

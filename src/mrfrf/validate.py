@@ -9,7 +9,7 @@ validator actually catches broken recoveries.
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SimulationError
 from .ident import recover_P
 from .lrm import LocalModelConfig, fit_local
 from .loopsim import MultirateLoopSpec, simulate
@@ -180,17 +180,35 @@ def suite_noble_identity(rng):
     return _suite("noble-identity", worst, 1e-9)
 
 
+def _plant_in_settling_loop(rng, ctrl, F, ts):
+    """A random 1x2 plant whose closed loop with ctrl is stable with margin.
+
+    The steady-state oracle holds only once the transient has died out; a
+    plant that destabilizes the loop (spectral radius 1.0016 at run_suites
+    seed 1000050) is redrawn, as is one that settles too slowly for five
+    periods of 120 slow steps (0.95**600 is about 4e-14)."""
+    for _ in range(50):
+        plant = random_stable_plant(rng, 1, 2, order=2, sample_time=ts)
+        try:
+            slow = lift_loop_state_space(plant, ctrl, F)
+        except SimulationError:
+            continue
+        if slow.spectral_radius() < 0.95:
+            return plant
+    raise RuntimeError("failed to draw a plant that the loop settles")
+
+
 def suite_simulator_oracle(rng):
     """Periodic steady state of the simulator matches the folded prediction."""
     ts = 1e-4
     F = 2
     n = 240
-    plant = random_stable_plant(rng, 1, 2, order=2, sample_time=ts)
     ctrl = RationalTF(
         (((0.02, 0.02),), ((0.1, -0.05),)),
         (((1.0, -0.5),), ((1.0, -0.3),)),
         ts * F,
     )
+    plant = _plant_in_settling_loop(rng, ctrl, F, ts)
     loop = MultirateLoopSpec(plant, ctrl, F)
     spec = MultisineSpec(2, n, ts, (1.0, 1.0), seed=7)
     r = multisine(spec)

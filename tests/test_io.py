@@ -66,6 +66,39 @@ def test_frf_entry_csv_roundtrip(tmp_path):
     assert np.abs(v[keep] - vals[keep, 0, 0]).max() == 0.0
 
 
+@pytest.mark.parametrize("field,value,message", [
+    (2, "nan", "not finite on an unflagged bin"),
+    (3, "-inf", "not finite on an unflagged bin"),
+    (4, "7", "flag 7, expected 0 or 1"),
+    (0, "5", "k=5, expected 3"),
+    (1, "fast", "not numeric"),
+])
+def test_frf_entry_csv_malformed_row_names_it(tmp_path, field, value,
+                                              message):
+    frf = FrfMatrix(np.ones((6, 1, 1), dtype=complex), dft_grid(6, 1e-4),
+                    1e-4)
+    path = tmp_path / "frf.csv"
+    mio.write_frf_entry_csv(path, frf, 0, 0)
+    lines = path.read_text().splitlines()
+    parts = lines[5].split(",")   # k = 3, file row 6
+    parts[field] = value
+    lines[5] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=message) as exc:
+        mio.read_frf_entry_csv(path)
+    assert exc.value.row == 6
+    assert "row 6" in str(exc.value)
+
+
+def test_frf_entry_csv_flagged_row_may_be_non_finite(tmp_path):
+    path = tmp_path / "frf.csv"
+    path.write_text("# format_version=1\nk,freq_hz,re,im,flag\n"
+                    "0,0.0,1.0,2.0,0\n1,10.0,nan,nan,1\n")
+    ks, v, fl = mio.read_frf_entry_csv(path)
+    assert list(ks) == [0, 1] and list(fl) == [False, True]
+    assert v[0] == 1 + 2j and np.isnan(v[1])
+
+
 def test_scenario_roundtrip(tmp_path):
     sc = build_benchmark_scenario("noisy", seed=9)
     path = tmp_path / "scenario.json"
