@@ -127,6 +127,9 @@ def read_signal_csv(path, sample_time, rate_tag=FAST, n_periods=None):
         line_no = body[int(np.argmin(finite))] + 1
         raise DataFormatError(f"{path}: row {line_no} is not finite",
                               row=line_no)
+    if n_periods is not None and n_periods >= 1 and data.shape[1] % n_periods:
+        raise DataFormatError(f"{path}: {data.shape[1]} samples do not divide "
+                              f"evenly into n_periods={n_periods} periods")
     return SignalRecord(data, sample_time, rate_tag, n_periods=n_periods)
 
 

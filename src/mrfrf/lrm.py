@@ -29,11 +29,21 @@ the minimum-norm solution from an SVD of T_i; in-model data makes the
 denominator columns dependent while the center estimates stay unique, so
 that solution is accepted only when the null space has no component on them.
 
-sweep_bins solves _BLOCK bins at a time with stacked LAPACK calls, which
-factor every matrix of a stack on its own: a bin's result does not depend on
-its block or its place in it.
+sweep_bins solves blocks of _BLOCK = 6 bins with stacked LAPACK calls,
+which factor every matrix of a stack on its own: a bin's result does not
+depend on its block, its place in it or the thread that solves it.  The
+calling thread and one worker thread share the blocks (_THREADS = 2, or 1
+on a single usable core).  numpy releases the GIL inside LAPACK, about four
+fifths of a block's time; the Python work between those calls holds it.  So
+the count is capped at 2: more threads would mostly queue for the GIL, and
+each one adds its block temporaries to the peak memory.  For the same reason
+a block holds 6 bins: with 4 the threads queued for the GIL, with 8 the peak
+memory rose further.  The fallback test, its warnings and the
+polynomial refits run on the calling thread, in bin order.
 """
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -89,19 +99,26 @@ class LocalFitResult:
 
 
 _NULL_LEAK_TOL = 1e-7
-_BLOCK = 4   # bins per stacked solve; more save little time and cost memory
+_BLOCK = 6   # bins per stacked solve: 4 queue for the GIL, 8 cost memory
+# threads sharing the blocks: the caller and at most one worker, one per
+# usable core (see the module docstring for the cap)
+_THREADS = min(2, len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
-def _windows(Z, R, ks, config):
-    """Regressor pieces of the bins ks: the shared excitation and transient
-    columns A1 (B, W, n1), each row's denominator columns A2 (B, n_z, W, rd)
-    and the data windows (B, n_z, W)."""
-    n_w, n_r = config.half_window, R.shape[0]
+def _windows(Z, R, ks, n_w):
+    """Excitation windows (B, W, n_r) and output windows (B, n_z, W) of the
+    bins ks."""
     rs = np.arange(-n_w, n_w + 1)
-    rho = rs / n_w
     idx = (np.asarray(ks, dtype=int)[:, None] + rs) % Z.shape[1]
-    Rw = np.moveaxis(R[:, idx], 0, -1)
-    Zw = np.moveaxis(Z[:, idx], 0, 1)
+    return np.moveaxis(R[:, idx], 0, -1), np.moveaxis(Z[:, idx], 0, 1)
+
+
+def _regressors(Rw, Zw, config):
+    """The shared excitation and transient columns A1 (B, W, n1) and each
+    row's denominator columns A2 (B, n_z, W, rd) of the windows."""
+    n_w, n_r = config.half_window, Rw.shape[-1]
+    rho = np.arange(-n_w, n_w + 1) / n_w
     n_exc = n_r * (config.degree_num + 1)
     A1 = np.empty(Rw.shape[:2] + (n_exc + config.degree_transient + 1,),
                   dtype=complex)
@@ -112,12 +129,22 @@ def _windows(Z, R, ks, config):
     A2 = np.empty(Zw.shape + (config.degree_den,), dtype=complex)
     for s in range(1, config.degree_den + 1):
         A2[..., s - 1] = -(rho ** s) * Zw
-    return A1, A2, Zw
+    return A1, A2
 
 
 def _unit_scale(A):
     norms = np.linalg.norm(A, axis=-2, keepdims=True)
     return np.where(norms > 0, norms, 1.0)
+
+
+def _factor(R11, top, R22):
+    """T_i = [[R11, Q1^H A2_i], [0, R22_i]]; leading axes broadcast."""
+    n1, rd = R11.shape[-1], R22.shape[-1]
+    T = np.zeros(top.shape[:-2] + (n1 + rd, n1 + rd), dtype=complex)
+    T[..., :n1, :n1] = R11
+    T[..., :n1, n1:] = top
+    T[..., n1:, n1:] = R22
+    return T
 
 
 def _solve(Z, R, ks, config):
@@ -140,17 +167,21 @@ def _solve(Z, R, ks, config):
         return [LocalFitError(f"window supplies {W} rows per output for {n} "
                               f"parameters at bin {k}") for k in ks]
     out = [None] * len(ks)
-    A1, A2, Zw = _windows(Z, R, ks, config)
-    finite = np.isfinite(A1).all(axis=(1, 2)) & np.isfinite(Zw).all(axis=(1, 2))
+    Rw, Zw = _windows(Z, R, ks, config.half_window)
+    finite = np.isfinite(Rw).all(axis=(1, 2)) & np.isfinite(Zw).all(axis=(1, 2))
     for j in np.nonzero(~finite)[0]:
         out[j] = np.linalg.LinAlgError("non-finite value in the window")
     good = np.nonzero(finite)[0]
     if not good.size:
         return out
-    A1, A2, Zw = A1[good], A2[good], Zw[good]
+    if good.size < len(ks):
+        Rw, Zw = Rw[good], Zw[good]
     B = good.size
 
-    # one QR per bin of [A1 | A2_0 z_0 | A2_1 z_1 | ...], columns scaled
+    # one QR per bin of [A1 | A2_0 z_0 | A2_1 z_1 | ...], columns scaled;
+    # A1 and A2 are built again for the residual, so that they are not held
+    # through the factorizations
+    A1, A2 = _regressors(Rw, Zw, config)
     s1, s2 = _unit_scale(A1), _unit_scale(A2)
     M = np.empty((B, W, n1 + n_z * (rd + 1)), dtype=complex)
     np.divide(A1, s1, out=M[..., :n1])
@@ -158,6 +189,7 @@ def _solve(Z, R, ks, config):
     np.divide(np.moveaxis(A2, 1, 2), np.moveaxis(s2, 1, 2),
               out=rows[..., :rd])
     rows[..., rd] = np.moveaxis(Zw, 1, 2)
+    del A1, A2
     Rf = np.linalg.qr(M, mode="r")
     del M, rows
     R11 = Rf[:, :n1, :n1]
@@ -166,12 +198,8 @@ def _solve(Z, R, ks, config):
     # (its first rd rows; with rd = 0 nothing is left)
     trail = Rf[:, n1:, n1:].reshape(B, -1, n_z, rd + 1).swapaxes(1, 2)
     R2 = np.linalg.qr(trail, mode="r")[..., :rd, :]
-    T = np.zeros((B, n_z, n, n), dtype=complex)
-    T[..., :n1, :n1] = R11[:, None]
-    T[..., :n1, n1:] = top[..., :rd]
-    T[..., n1:, n1:] = R2[..., :rd]
-
-    s = np.linalg.svd(T, compute_uv=False)
+    s = np.linalg.svd(_factor(R11[:, None], top[..., :rd], R2[..., :rd]),
+                      compute_uv=False)
     tol = max(W, n) * np.finfo(float).eps * s[..., :1]
     rank = np.sum(s > tol, axis=-1)
     cond = np.full(rank.shape, np.inf)
@@ -193,13 +221,15 @@ def _solve(Z, R, ks, config):
     leak = np.zeros(rank.shape)
     for b, i in np.argwhere(~full):
         r = rank[b, i]
-        u, sv, vh = np.linalg.svd(T[b, i])
+        u, sv, vh = np.linalg.svd(
+            _factor(R11[b], top[b, i, :, :rd], R2[b, i, :, :rd]))
         c = np.concatenate([top[b, i, :, rd], R2[b, i, :, rd]])
         theta[b, i] = vh[:r].conj().T @ ((u[:, :r].conj().T @ c) / sv[:r])
         leak[b, i] = np.abs(vh[r:][:, watched]).max() if r else 1.0
 
     theta[..., :n1] /= s1
     theta[..., n1:] /= s2[:, :, 0]
+    A1, A2 = _regressors(Rw, Zw, config)
     fitted = (A1 @ theta[..., :n1].swapaxes(1, 2)).swapaxes(1, 2) \
         + (A2 @ theta[..., n1:, None])[..., 0]
     res = np.sqrt(np.sum(np.sum(np.abs(fitted - Zw) ** 2, axis=-1), axis=-1))
@@ -229,12 +259,46 @@ def _solve_or_split(Z, R, ks, config):
         return [fit for k in ks for fit in _solve_or_split(Z, R, [k], config)]
 
 
-def _fit_bins(Z, R, ks, config):
-    """Local fits at the center bins ks, with the polynomial fallback.
+def _solve_blocks(Z, R, ks, config):
+    """_solve_or_split on the blocks of _BLOCK bins of ks, on _THREADS
+    threads; returns one outcome per bin, in the order of ks.
 
-    Returns one LocalFitResult or exception per bin, in the order of ks.
+    With two threads the calling thread solves the even blocks and a worker
+    thread the odd ones; an exception in the worker is raised here, once the
+    worker has ended.
     """
-    fits = _solve_or_split(Z, R, ks, config)
+    blocks = [ks[i:i + _BLOCK] for i in range(0, len(ks), _BLOCK)]
+    solved = [None] * len(blocks)
+    raised = []
+
+    def run(first):
+        for b in range(first, len(blocks), _THREADS):
+            solved[b] = _solve_or_split(Z, R, blocks[b], config)
+
+    def work():
+        try:
+            run(1)
+        except BaseException as e:  # re-raised on the calling thread
+            raised.append(e)
+
+    if _THREADS == 1 or len(blocks) < 2:
+        run(0)
+    else:
+        worker = threading.Thread(target=work)
+        worker.start()
+        try:
+            run(0)
+        finally:
+            worker.join()
+        if raised:
+            raise raised[0]
+    return [fit for block in solved for fit in block]
+
+
+def _with_fallback(Z, R, ks, fits, config):
+    """Replace the fits whose condition is above the threshold by polynomial
+    fits (degree_den 0), solved _BLOCK bins at a time.  Each replaced bin
+    warns, in the order of ks, at the caller of fit_local or sweep_bins."""
     refit = [j for j, fit in enumerate(fits)
              if isinstance(fit, LocalFitResult) and config.degree_den > 0
              and fit.condition > config.condition_threshold]
@@ -244,10 +308,11 @@ def _fit_bins(Z, R, ks, config):
             f"{ks[j]}; falling back to a polynomial model",
             RuntimeWarning, stacklevel=3,
         )
-    if refit:
-        cfg0 = replace(config, degree_den=0)
-        polys = _solve_or_split(Z, R, [ks[j] for j in refit], cfg0)
-        for j, fit in zip(refit, polys):
+    cfg0 = replace(config, degree_den=0)
+    for start in range(0, len(refit), _BLOCK):
+        chunk = refit[start:start + _BLOCK]
+        polys = _solve_or_split(Z, R, [ks[j] for j in chunk], cfg0)
+        for j, fit in zip(chunk, polys):
             fits[j] = replace(fit, fallback=True) \
                 if isinstance(fit, LocalFitResult) else fit
     return fits
@@ -266,7 +331,8 @@ def fit_local(Z, R, k, config):
     accordingly.  An unidentifiable model raises LocalFitError, a window with
     a non-finite value np.linalg.LinAlgError.
     """
-    fit, = _fit_bins(Z, R, [int(k)], config)
+    ks = [int(k)]
+    fit, = _with_fallback(Z, R, ks, _solve_or_split(Z, R, ks, config), config)
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -281,20 +347,21 @@ def _failed_result(k, n_z, n_r, message):
 def sweep_bins(Z, R, bins, config):
     """Independent local fits at each requested bin, in input order.
 
-    The bins are solved in blocks of _BLOCK.  Per-bin failures (an
-    unidentifiable model, or a solve that does not converge) are recorded in
-    the corresponding result instead of aborting the sweep.
+    The bins are solved in blocks of _BLOCK on _THREADS threads; the
+    fallback test, its warnings and the polynomial refits run on the calling
+    thread, in bin order.  Per-bin failures (an unidentifiable model, or a
+    solve that does not converge) are recorded in the corresponding result
+    instead of aborting the sweep.
     """
     n_z, n_r = Z.shape[0], R.shape[0]
     ks = [int(k) for k in bins]
+    fits = _with_fallback(Z, R, ks, _solve_blocks(Z, R, ks, config), config)
     results = []
-    for start in range(0, len(ks), _BLOCK):
-        block = ks[start:start + _BLOCK]
-        for k, fit in zip(block, _fit_bins(Z, R, block, config)):
-            if isinstance(fit, np.linalg.LinAlgError):
-                fit = _failed_result(
-                    k, n_z, n_r, f"least-squares solve failed at bin {k}: {fit}")
-            elif isinstance(fit, LocalFitError):
-                fit = _failed_result(k, n_z, n_r, str(fit))
-            results.append(fit)
+    for k, fit in zip(ks, fits):
+        if isinstance(fit, np.linalg.LinAlgError):
+            fit = _failed_result(
+                k, n_z, n_r, f"least-squares solve failed at bin {k}: {fit}")
+        elif isinstance(fit, LocalFitError):
+            fit = _failed_result(k, n_z, n_r, str(fit))
+        results.append(fit)
     return results

@@ -134,6 +134,26 @@ def test_identify_rejects_non_finite_sample(scenario_path, sim_dir, tmp_path,
     assert "row 9001 is not finite" in capsys.readouterr().err
 
 
+def test_identify_rejects_record_not_whole_periods(scenario_path, sim_dir,
+                                                  tmp_path, capsys):
+    import shutil
+
+    broken = tmp_path / "broken"
+    shutil.copytree(sim_dir, broken)
+    path = broken / "u_h.csv"
+    lines = path.read_text().splitlines()
+    n_samples = len(lines) - 3  # version line, header, last row dropped
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    periods = json.loads((broken / "run_meta.json").read_text())["periods"]
+    rc = main(["identify", "--scenario", scenario_path,
+               "--data", str(broken), "--out", str(broken)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert f"{n_samples} samples" in err
+    assert f"n_periods={periods}" in err
+
+
 def test_bad_scenario_field_is_config_error(tmp_path, capsys):
     from mrfrf.bench import build_benchmark_scenario
 

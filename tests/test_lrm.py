@@ -1,10 +1,13 @@
 import re
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mrfrf import lrm
 from mrfrf.errors import LocalFitError
 from mrfrf.lrm import LocalModelConfig, fit_local, param_count, sweep_bins
 
@@ -379,3 +382,84 @@ def test_failed_stacked_call_is_solved_bin_by_bin(monkeypatch):
             assert out[k].error == f"least-squares solve failed at bin {k}: injected"
         else:
             assert same_fit(out[k], clean[k])
+
+
+def swept(monkeypatch, threads, Z, R, bins, cfg):
+    """sweep_bins on the given number of threads: the results, the bins of
+    the fallback warnings in the order raised, and the threads that solved
+    blocks."""
+    solvers = set()
+    solve = lrm._solve_or_split
+
+    def traced(*args):
+        solvers.add(threading.get_ident())
+        return solve(*args)
+
+    monkeypatch.setattr(lrm, "_THREADS", threads)
+    monkeypatch.setattr(lrm, "_solve_or_split", traced)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to expose a race
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = sweep_bins(Z, R, bins, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(lrm, "_solve_or_split", solve)
+    fallbacks = [w for w in caught
+                 if "falling back to a polynomial model" in str(w.message)]
+    # raised on the calling thread, pointing at the caller of sweep_bins
+    assert all(w.filename == __file__ for w in fallbacks)
+    warned = [int(re.search(r"at bin (\d+);", str(w.message)).group(1))
+              for w in fallbacks]
+    return out, warned, solvers
+
+
+@pytest.mark.parametrize("n_r,n_z", [(4, 5), (6, 7)])
+def test_two_thread_sweep_matches_one_thread_bytes(monkeypatch, n_r, n_z):
+    # the benchmark's shapes: F=2 with a 1x2 plant (5 rows, n=23) and F=3
+    # (7 rows, n=31); at the median condition half the bins fall back
+    rng = np.random.default_rng(25)
+    m = 96
+    cfg = LocalModelConfig()
+    R = random_spectra(rng, n_r, m)
+    Z = random_spectra(rng, n_z, m)
+    bins = rng.permutation(m).tolist()
+    ref, _, _ = swept(monkeypatch, 1, Z, R, bins, cfg)
+    median = float(np.median([r.condition for r in ref]))
+    caller = threading.get_ident()
+    for config in (cfg, replace(cfg, condition_threshold=median)):
+        one, warned_one, solvers_one = swept(monkeypatch, 1, Z, R, bins, config)
+        two, warned_two, solvers_two = swept(monkeypatch, 2, Z, R, bins, config)
+        assert solvers_one == {caller}
+        assert len(solvers_two) == 2 and caller in solvers_two
+        assert [r.center_bin for r in two] == bins
+        assert all(same_fit(a, b) for a, b in zip(one, two))
+        fell = [r.center_bin for r in two if r.fallback]
+        assert warned_two == warned_one == fell
+    assert 0 < len(fell) < m
+
+
+@pytest.mark.parametrize("where", ["worker", "every thread"])
+def test_program_error_in_a_worker_propagates(monkeypatch, where):
+    # an error that is not a LinAlgError is a bug, not a withheld bin: it
+    # leaves sweep_bins with its type, and the worker thread is gone
+    rng = np.random.default_rng(26)
+    m = 48
+    cfg = LocalModelConfig(half_window=12)
+    R = random_spectra(rng, 2, m)
+    Z = random_spectra(rng, 3, m)
+    caller = threading.get_ident()
+    svd = np.linalg.svd
+
+    def broken(*args, **kwargs):
+        if where == "every thread" or threading.get_ident() != caller:
+            raise RuntimeError("bug in the solver")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(lrm, "_THREADS", 2)
+    monkeypatch.setattr(np.linalg, "svd", broken)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="bug in the solver"):
+        sweep_bins(Z, R, range(m), cfg)
+    assert threading.active_count() == before
