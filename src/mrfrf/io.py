@@ -253,16 +253,28 @@ def _spec(section, build, *args, **kwargs):
                           f"{e}") from None
 
 
+def _section(doc, key):
+    """doc[key], which must be a JSON object; absent means empty."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"scenario section {key!r} must be a JSON object, "
+                          f"not {value!r}")
+    return value
+
+
 def _system_from_doc(doc, ts, role):
     if doc is None:
         return None
     if isinstance(doc, dict) and "preset" in doc:
         name = doc["preset"]
         if role == "plant":
-            return surrogate_plant(name, ts)
+            return _spec("plant", surrogate_plant, name, ts)
         if role == "controller":
-            variant = doc.get("variant", "q2")
-            return benchmark_controller(ts, variant)
+            if name != "benchmark":
+                raise ConfigError(f"unknown controller preset {name!r}; "
+                                  f"available: ['benchmark']")
+            return _spec("controller", benchmark_controller, ts,
+                         doc.get("variant", "q2"))
         raise ConfigError(f"no presets for role {role!r}")
     if isinstance(doc, dict):
         try:
@@ -273,6 +285,9 @@ def _system_from_doc(doc, ts, role):
 
 
 def scenario_from_dict(doc):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"scenario document must be a JSON object, "
+                          f"not {doc!r}")
     try:
         ts = _field(doc, "ts", float, BENCH_FAST_TS)
         factor = _field(doc, "F", int, BENCH_FACTOR)
@@ -282,7 +297,7 @@ def scenario_from_dict(doc):
     except KeyError as e:
         raise ConfigError(f"scenario missing field {e}") from None
     filters = _system_from_doc(doc.get("filters"), ts, "filters")
-    nd = doc.get("noise", {})
+    nd = _section(doc, "noise")
     shaping = _system_from_doc(nd.get("H"), ts, "noise shaping")
     noise = NoiseSpec(eh_std=_field(nd, "eh_std", float, 0.0, "noise."),
                       el_std=_field(nd, "el_std", float, 0.0, "noise."),
@@ -296,7 +311,7 @@ def scenario_from_dict(doc):
         raise ConfigError(f"scenario field 'noise.dh_channel' names input "
                           f"{noise.dh_channel} of a plant with "
                           f"{loop.n_inputs} inputs")
-    ed = doc.get("excitation", {})
+    ed = _section(doc, "excitation")
     seed = _field(doc, "seed", int, 1234)
     excitation = _spec(
         "excitation", MultisineSpec,
@@ -309,7 +324,7 @@ def scenario_from_dict(doc):
         phase_scheme=ed.get("scheme", "random"),
         excite_dc=_field(ed, "excite_dc", _json_bool, False, "excitation."),
     )
-    ld = doc.get("lrm", {})
+    ld = _section(doc, "lrm")
     _field(ld, "denominator", _diagonal_only, "diagonal", "lrm.")
     lrm = _spec("lrm", LocalModelConfig, **{
         key: _field(ld, key, int, getattr(LocalModelConfig, key), "lrm.")

@@ -13,9 +13,9 @@ import numpy as np
 
 from . import _accel
 from .errors import LtiError, RateError, SimulationError
-from .lti import (RationalTF, StateSpace, assert_stable, benchmark_controller,
+from .lti import (RationalTF, assert_stable, benchmark_controller,
                   filter_signal, to_state_space)
-from .multirate import FAST, SLOW, SignalRecord
+from .multirate import FAST, SLOW, SignalRecord, loop_feedthrough
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,7 @@ def simulate(spec, r_h, periods=1, seed=0, check_stability=True):
             assert_stable(spec.input_filters, "input filters")
         if spec.noise.shaping is not None:
             assert_stable(spec.noise.shaping, "noise shaping")
-    if spec.input_filters is None:
-        W = StateSpace(np.zeros((0, 0)), np.zeros((0, nu)), np.zeros((nu, 0)),
-                       np.eye(nu), P.sample_time)
-    else:
-        W = to_state_space(spec.input_filters)
+    W, minv = loop_feedthrough(P, C, spec.input_filters)
 
     n_fast = r_h.n_samples * periods
     n_slow = n_fast // F
@@ -130,12 +126,6 @@ def simulate(spec, r_h, periods=1, seed=0, check_stability=True):
         eps_l = np.ascontiguousarray(
             spec.noise.el_std * rng_el.standard_normal((ny, n_slow)).T
         )
-
-    loop_d = P.D @ W.D @ C.D
-    try:
-        minv = np.linalg.inv(np.eye(ny) + loop_d)
-    except np.linalg.LinAlgError:
-        raise SimulationError("loop is ill-posed: I + Dp Dw Dc is singular") from None
 
     def matrices(ss):
         return tuple(np.ascontiguousarray(M) for M in (ss.A, ss.B, ss.C, ss.D))

@@ -229,6 +229,26 @@ class _Affine:
         return _Affine(M @ self.x, M @ self.v)
 
 
+def loop_feedthrough(P, C, input_filters):
+    """Realization W of the input filters (the identity when there are none)
+    and (I + Dp Dw Dc)^-1, which resolves the loop's direct feedthrough at a
+    sampling instant; SimulationError when the loop is ill-posed."""
+    nu = P.n_inputs
+    if input_filters is None:
+        W = StateSpace(np.zeros((0, 0)), np.zeros((0, nu)), np.zeros((nu, 0)),
+                       np.eye(nu), P.sample_time)
+    else:
+        W = to_state_space(input_filters)
+        if W.n_inputs != nu or W.n_outputs != nu:
+            raise LtiError("input filters must be square in the plant inputs")
+    loop_d = P.D @ W.D @ C.D
+    try:
+        minv = np.linalg.inv(np.eye(P.n_outputs) + loop_d)
+    except np.linalg.LinAlgError:
+        raise SimulationError("loop is ill-posed: I + Dp Dw Dc is singular") from None
+    return W, minv
+
+
 def lift_loop_state_space(plant, controller, factor, input_filters=None):
     """Slow-rate LTI realization of the multirate loop over one period.
 
@@ -246,15 +266,9 @@ def lift_loop_state_space(plant, controller, factor, input_filters=None):
     ny, nu = P.n_outputs, P.n_inputs
     if C.n_inputs != ny or C.n_outputs != nu:
         raise LtiError("controller dimensions must map plant outputs to inputs")
-    if input_filters is None:
-        W = StateSpace(np.zeros((0, 0)), np.zeros((0, nu)), np.zeros((nu, 0)),
-                       np.eye(nu), P.sample_time)
-    else:
-        W = to_state_space(input_filters)
-        if W.n_inputs != nu or W.n_outputs != nu:
-            raise LtiError("input filters must be square in the plant inputs")
     if abs(C.sample_time - F * P.sample_time) > 1e-12 * C.sample_time:
         raise RateError("controller must run at F times the plant sample time")
+    W, minv = loop_feedthrough(P, C, input_filters)
 
     n_p, n_w, n_c = P.n_states, W.n_states, C.n_states
     nx = n_p + n_w + n_c
@@ -278,11 +292,6 @@ def lift_loop_state_space(plant, controller, factor, input_filters=None):
 
     # measured output at the sampling instant; the feedthrough loop through
     # plant, filters, and controller is resolved in closed form
-    loop_d = P.D @ W.D @ C.D
-    try:
-        minv = np.linalg.inv(np.eye(ny) + loop_d)
-    except np.linalg.LinAlgError:
-        raise SimulationError("loop is ill-posed: I + Dp Dw Dc is singular") from None
     pre = (xp.left(P.C) + r0.left(P.D) + e0
            - xw.left(P.D @ W.C) - xc.left(P.D @ W.D @ C.C))
     y0 = pre.left(minv)

@@ -10,13 +10,14 @@ import numpy as np
 
 from mrfrf.bench import (build_benchmark_scenario, run_benchmark,
                          scenario_feasibility, true_plant_frf)
-from mrfrf.ident import recover_P
-from mrfrf.lrm import LocalModelConfig, fit_local
-from mrfrf.lti import RationalTF, dft_grid, freq_response
-from mrfrf.multirate import SignalRecord, downsample, lift_frf, lifted_loop_frf
-from mrfrf.spectral import (alias_slow_spectrum, dft,
-                            predict_slow_output_steady)
-from mrfrf.validate import random_stable_plant
+from mrfrf.loopsim import simulate
+from mrfrf.lrm import LocalModelConfig
+from mrfrf.multirate import SignalRecord, lifted_loop_frf
+from mrfrf.spectral import multisine
+from mrfrf.validate import (aliasing_error, delay_pin_error,
+                            lrm_exactness_error, lrm_normal_equations_error,
+                            random_spectra, random_stable_plant,
+                            recovery_error, simulator_oracle_error)
 
 
 def _verdict(num, ok, detail):
@@ -47,42 +48,29 @@ def test_criterion_1_configuration_fidelity():
 
 def test_criterion_2_lifting_roundtrip():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(2024)
     worst = 0.0
-    count = 0
-    while count < 51:
-        factor = (2, 3, 4)[count % 3]
-        ny = int(rng.integers(1, 3))
-        nu = int(rng.integers(1, 3))
-        plant = random_stable_plant(rng, ny, nu, order=4, sample_time=1e-4)
-        n = 24 * factor
-        frf = freq_response(plant, dft_grid(n, 1e-4))
-        rec, _ = recover_P(lift_frf(frf, factor).first_row(), factor, n, 1e-4)
-        rel = np.abs(rec.values - frf.values) / np.abs(frf.values)
-        worst = max(worst, float(rel.max()))
-        count += 1
+    # 51 plants with F cycling, then 4 plants per F from a second seed
+    for seed, factors in ((2024, (2, 3, 4) * 17), (2, sorted((2, 3, 4) * 4))):
+        rng = np.random.default_rng(seed)
+        for factor in factors:
+            ny = int(rng.integers(1, 3))
+            nu = int(rng.integers(1, 3))
+            plant = random_stable_plant(rng, ny, nu, order=4, sample_time=1e-4)
+            worst = max(worst, recovery_error(plant, 24 * factor, factor))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 30.0
-    _verdict(2, ok, f"{count} random plants, F in (2,3,4): max relative "
+    _verdict(2, ok, f"63 random plants, F in (2,3,4): max relative "
                     f"round-trip error {worst:.3e} < 1e-10, {elapsed:.1f}s")
 
 
 def test_criterion_3_delay_pin():
-    ts = 1e-4
-    n = 3600
-    plant = RationalTF.siso([0.0, 1.0], [1.0], ts)
-    frf = freq_response(plant, dft_grid(n, ts))
-    lifted = lift_frf(frf, 2)
-    m = n // 2
-    zsq = np.exp(-2j * np.pi * np.arange(m) / m)
-    err = float(np.abs(lifted.components[0]).max())
-    err = max(err, float(np.abs(lifted.components[1][:, 0, 0] - zsq).max()))
-    rec, _ = recover_P(lifted.first_row(), 2, n, ts)
-    expect = np.exp(-1j * dft_grid(n, ts) * ts)
-    err = max(err, float(np.abs(rec.values[:, 0, 0] - expect).max()))
+    err = max(delay_pin_error(n, ts)
+              for n, ts in ((3600, 1e-4), (64, 1e-4), (32, 1e-3)))
     _verdict(3, err < 1e-12,
-             f"unit delay, F=2: component 0 null, component 1 = zeta^2, "
-             f"recovery = exp(-j w T_h); max abs deviation {err:.3e} < 1e-12")
+             f"unit delay, F=2, N in (3600, 64, 32): component 0 null, "
+             f"component 1 = zeta^2, blocks (0,1) = zeta^4 and (1,0) = "
+             f"zeta^2, recovery = exp(-j w T_h); max abs deviation "
+             f"{err:.3e} < 1e-12")
 
 
 def test_criterion_4_aliasing_identity():
@@ -92,31 +80,19 @@ def test_criterion_4_aliasing_identity():
         factor = (2, 3, 4)[i % 3]
         m = int(rng.integers(8, 120))
         x = SignalRecord(rng.standard_normal((1, m * factor)), 1e-4)
-        lhs = alias_slow_spectrum(dft(x), factor).values
-        rhs = dft(downsample(x, factor)).values
-        scale = max(1.0, float(np.abs(rhs).max()))
-        worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
+        worst = max(worst, aliasing_error(x, factor))
     _verdict(4, worst < 1e-12,
-             f"100 random unit-scale signals, F in (2,3,4): max deviation "
-             f"{worst:.3e} < 1e-12")
+             f"100 random unit-scale signals, F in (2,3,4): max absolute "
+             f"deviation {worst:.3e} < 1e-12")
 
 
 def test_criterion_5_simulator_oracle_agreement():
-    from mrfrf.loopsim import simulate
-    from mrfrf.spectral import multisine
-
     t0 = time.perf_counter()
     scenario = build_benchmark_scenario("default")
-    r1 = multisine(scenario.excitation)
-    sim = simulate(scenario.loop, r1, periods=3, seed=scenario.seed)
-    pred = predict_slow_output_steady(
-        true_plant_frf(scenario),
-        freq_response(scenario.loop.controller,
-                      dft_grid(1800, scenario.loop.controller.sample_time)),
-        scenario.loop.factor, dft(r1))
     # three simulated periods; the first two are discarded
-    got = dft(sim.y_l.period(-1)).values
-    err = float(np.abs(got - pred.values).max() / np.abs(pred.values).max())
+    sim = simulate(scenario.loop, multisine(scenario.excitation), periods=3,
+                   seed=scenario.seed)
+    err = simulator_oracle_error(scenario.loop, sim)
     elapsed = time.perf_counter() - t0
     ok = err < 1e-8 and elapsed < 10.0
     _verdict(5, ok, f"last-period slow DFT vs steady-state prediction at "
@@ -163,41 +139,24 @@ def test_criterion_7_end_to_end_noiseless(default_run):
 def test_criterion_8_solver_exactness():
     rng = np.random.default_rng(8)
     # constructed in-model-class data at the benchmark degrees
-    m, n_r, n_z, n_w = 256, 4, 5, 30
     cfg = LocalModelConfig(degree_num=3, degree_transient=3, degree_den=3,
-                           half_window=n_w)
-    R = rng.standard_normal((n_r, m)) + 1j * rng.standard_normal((n_r, m))
-    k0 = 77
-    rho = ((np.arange(m) - k0 + m // 2) % m - m // 2) / n_w
-    Gs = [rng.standard_normal((n_z, n_r)) + 1j * rng.standard_normal((n_z, n_r))
-          for _ in range(4)]
-    Ts = [rng.standard_normal(n_z) + 1j * rng.standard_normal(n_z)
-          for _ in range(4)]
-    Z = np.empty((n_z, m), dtype=complex)
-    for k in range(m):
-        G = sum(Gs[s] * rho[k] ** s for s in range(4))
-        T = sum(Ts[s] * rho[k] ** s for s in range(4))
-        Z[:, k] = G @ R[:, k] + T
-    fit = fit_local(Z, R, k0, cfg)
-    resid = fit.residual
-    exact = max(float(np.abs(fit.response - Gs[0]).max()),
-                float(np.abs(fit.transient - Ts[0]).max()))
-    # dense normal-equations oracle on a small random instance
-    m2, n_w2 = 64, 10
+                           half_window=30)
+    R = random_spectra(rng, 4, 256)
+    Gs = [random_spectra(rng, 5, 4) for _ in range(4)]
+    Ts = [random_spectra(rng, 5) for _ in range(4)]
+    exact, resid = lrm_exactness_error(
+        R, 77, cfg, lambda p: sum(G * p ** s for s, G in enumerate(Gs)),
+        lambda p: sum(T * p ** s for s, T in enumerate(Ts)))
+    # dense normal-equations oracle on small random instances: one more from
+    # this generator, and one from seed 2
     cfg2 = LocalModelConfig(degree_num=1, degree_transient=1, degree_den=2,
-                            half_window=n_w2)
-    R2 = rng.standard_normal((1, m2)) + 1j * rng.standard_normal((1, m2))
-    Z2 = rng.standard_normal((1, m2)) + 1j * rng.standard_normal((1, m2))
-    k2 = 30
-    fit2 = fit_local(Z2, R2, k2, cfg2)
-    rs = np.arange(-n_w2, n_w2 + 1)
-    idx = (k2 + rs) % m2
-    rr = rs / n_w2
-    A = np.stack([R2[0, idx], rr * R2[0, idx], np.ones_like(rr), rr,
-                  -rr * Z2[0, idx], -rr ** 2 * Z2[0, idx]], axis=1)
-    theta = np.linalg.solve(A.conj().T @ A, A.conj().T @ Z2[0, idx])
-    oracle_dev = max(abs(fit2.response[0, 0] - theta[0]),
-                     abs(fit2.transient[0] - theta[2]))
+                            half_window=10)
+    oracle_dev = 0.0
+    for draw in (rng, np.random.default_rng(2)):
+        R2 = random_spectra(draw, 1, 64)
+        Z2 = random_spectra(draw, 1, 64)
+        oracle_dev = max(oracle_dev,
+                         lrm_normal_equations_error(Z2, R2, 30, cfg2))
     ok = resid < 1e-9 and exact < 1e-9 and oracle_dev < 1e-10
     _verdict(8, ok, f"in-model-class residual {resid:.3e} < 1e-9 (recovery "
                     f"dev {exact:.3e}); normal-equations oracle deviation "

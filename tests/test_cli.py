@@ -157,12 +157,15 @@ def test_identify_rejects_record_not_whole_periods(scenario_path, sim_dir,
 def test_bad_scenario_field_is_config_error(tmp_path, capsys):
     from mrfrf.bench import build_benchmark_scenario
 
-    for edit, name in (
-            (lambda doc: doc.update(F="two"), "'F'"),
-            (lambda doc: doc["excitation"].update(scheme="banana"),
-             "'excitation'")):
-        doc = mio.scenario_to_dict(build_benchmark_scenario("default"))
-        edit(doc)
+    base = mio.scenario_to_dict(build_benchmark_scenario("default"))
+    for doc, name in (
+            ({**base, "F": "two"}, "'F'"),
+            ({**base, "excitation": {**base["excitation"], "scheme": "banana"}},
+             "'excitation'"),
+            ([1, 2], "scenario document"),
+            ({**base, "plant": {"preset": "nope"}}, "plant preset 'nope'"),
+            ({**base, "controller": {"preset": "anything"}},
+             "controller preset 'anything'")):
         path = tmp_path / "scenario.json"
         mio.write_json(path, doc)
         rc = main(["generate", "--scenario", str(path),

@@ -90,33 +90,6 @@ def test_recover_constant_gain_row():
     assert not flags.any()
 
 
-def test_recover_delay_row_blocks():
-    # analytic first row of the lifted unit delay: (0, zeta^4) at factor 2
-    n = 64
-    m = n // 2
-    zsq = np.exp(-2j * np.pi * np.arange(m) / m)
-    row = np.zeros((m, 1, 2), dtype=complex)
-    row[:, 0, 1] = zsq ** 2
-    frf, _ = recover_P(row, 2, n, TS)
-    expect = np.exp(-1j * dft_grid(n, TS) * TS)
-    assert np.abs(frf.values[:, 0, 0] - expect).max() < 1e-12
-
-
-def test_recover_roundtrip_random_plants():
-    rng = np.random.default_rng(2)
-    for factor in (2, 3, 4):
-        for _ in range(4):
-            ny = int(rng.integers(1, 3))
-            nu = int(rng.integers(1, 3))
-            plant = random_stable_plant(rng, ny, nu, order=4, sample_time=TS)
-            n = 24 * factor
-            frf = freq_response(plant, dft_grid(n, TS))
-            lifted = lift_frf(frf, factor)
-            rec, _ = recover_P(lifted.first_row(), factor, n, TS)
-            rel = np.abs(rec.values - frf.values) / np.abs(frf.values)
-            assert rel.max() < 1e-10
-
-
 def test_recover_flag_propagation():
     m, n = 8, 16
     row = np.ones((m, 1, 2), dtype=complex)

@@ -127,12 +127,27 @@ def test_scenario_roundtrip(tmp_path):
     ("lrm", "denominator", "banana", "lrm[.]denominator"),
     ("excitation", "excite_dc", "false", "excitation.excite_dc"),
     ("excitation", "excite_dc", 1, "excitation.excite_dc"),
+    # a key of None replaces the whole section, a section of None the document
+    (None, None, [1, 2], "scenario document must be a JSON object"),
+    ("noise", None, 5, "section 'noise' must be a JSON object"),
+    ("excitation", None, [3600], "section 'excitation' must be a JSON object"),
+    ("lrm", None, "x", "section 'lrm' must be a JSON object"),
+    ("plant", None, {"preset": "nope"}, "section 'plant'.*preset 'nope'"),
+    ("controller", None, {"preset": "benchmark", "variant": "bogus"},
+     "section 'controller'.*'q2' or 'literal'"),
+    ("controller", None, {"preset": "anything"},
+     "unknown controller preset 'anything'"),
 ])
 def test_scenario_bad_field_names_it(section, key, value, name):
     from mrfrf.errors import ConfigError
 
     doc = mio.scenario_to_dict(build_benchmark_scenario("default"))
-    doc[section][key] = value
+    if section is None:
+        doc = value
+    elif key is None:
+        doc[section] = value
+    else:
+        doc[section][key] = value
     with pytest.raises(ConfigError, match=name):
         mio.scenario_from_dict(doc)
 

@@ -5,12 +5,16 @@ from mrfrf.errors import LtiError, SimulationError
 from mrfrf.loopsim import (MultirateLoopSpec, NoiseSpec, benchmark_loop,
                            simulate, surrogate_plant)
 from mrfrf.lti import RationalTF, dft_grid, filter_signal, freq_response
-from mrfrf.multirate import SignalRecord, lift_loop_state_space
-from mrfrf.spectral import MultisineSpec, dft, multisine, predict_slow_output_steady
-from mrfrf.validate import random_stable_plant
+from mrfrf.multirate import (SLOW, SignalRecord, lift, lift_loop_state_space,
+                             upsample_zoh)
+from mrfrf.spectral import MultisineSpec, multisine
+from mrfrf.validate import random_stable_plant, simulator_oracle_error
 
 TS = 1e-4
 F = 2
+#: [position; velocity] controller of the benchmark's shape, at the slow rate
+CTRL = RationalTF((((0.02, 0.02),), ((0.08, -0.03),)),
+                  (((1.0, -0.4),), ((1.0, -0.2),)), F * TS)
 
 
 def small_loop(plant, ctrl=None, noise=None):
@@ -88,23 +92,11 @@ def test_periodic_settling_is_monotone():
 
 def test_simulator_matches_frequency_domain_prediction():
     rng = np.random.default_rng(4)
-    n = 240
     plant = random_stable_plant(rng, 1, 2, order=3, sample_time=TS)
-    ctrl = RationalTF(
-        (((0.02, 0.02),), ((0.08, -0.03),)),
-        (((1.0, -0.4),), ((1.0, -0.2),)),
-        F * TS,
-    )
-    loop = MultirateLoopSpec(plant, ctrl, F)
-    r = multisine(MultisineSpec(2, n, TS, (1.0, 0.5), seed=21))
+    loop = MultirateLoopSpec(plant, CTRL, F)
+    r = multisine(MultisineSpec(2, 240, TS, (1.0, 0.5), seed=21))
     sim = simulate(loop, r, periods=5, seed=0)
-    pred = predict_slow_output_steady(
-        freq_response(plant, dft_grid(n, TS)),
-        freq_response(ctrl, dft_grid(n // F, F * TS)),
-        F, dft(r))
-    got = dft(sim.y_l.period(-1)).values
-    err = np.abs(got - pred.values).max() / np.abs(pred.values).max()
-    assert err < 1e-8
+    assert simulator_oracle_error(loop, sim) < 1e-8
 
 
 def test_disturbance_enters_named_channel_only():
@@ -188,25 +180,18 @@ def test_benchmark_loop_closed_loop_stable():
 def test_input_filters_reconstruction_identity():
     # u_h must equal r_h minus the filtered, held controller response to the
     # recorded slow output, sample for sample
-    from mrfrf.multirate import upsample_zoh
-
     rng = np.random.default_rng(11)
     plant = random_stable_plant(rng, 1, 2, order=2, sample_time=TS)
-    ctrl = RationalTF(
-        (((0.02, 0.02),), ((0.08, -0.03),)),
-        (((1.0, -0.4),), ((1.0, -0.2),)),
-        F * TS,
-    )
     filt = RationalTF(
         (((0.6, 0.3), (0.0,)), ((0.0,), (0.8, 0.15))),
         (((1.0, -0.1), (1.0,)), ((1.0,), (1.0, -0.05))),
         TS,
     )
     noise = NoiseSpec(eh_std=0.05, el_std=0.02)
-    loop = MultirateLoopSpec(plant, ctrl, F, input_filters=filt, noise=noise)
+    loop = MultirateLoopSpec(plant, CTRL, F, input_filters=filt, noise=noise)
     r = multisine(MultisineSpec(2, 120, TS, (1.0, 0.7), seed=12))
     sim = simulate(loop, r, periods=2, seed=12)
-    v_slow = filter_signal(ctrl, sim.y_l)
+    v_slow = filter_signal(CTRL, sim.y_l)
     w = filter_signal(filt, upsample_zoh(v_slow, F))
     u_ref = sim.r_h.data - w.data
     scale = max(1.0, np.abs(u_ref).max())
@@ -217,31 +202,23 @@ def test_filters_in_oracle_and_prediction():
     # with fast-rate input filters in the loop, the simulator, the lifted
     # state-space realization, and the folded frequency-domain prediction all
     # agree in periodic steady state
-    from mrfrf.multirate import lift, lift_loop_state_space
-    from mrfrf.multirate import SLOW as SLOW_TAG
-
     rng = np.random.default_rng(13)
     n = 240
     plant = random_stable_plant(rng, 1, 2, order=2, sample_time=TS)
-    ctrl = RationalTF(
-        (((0.02, 0.02),), ((0.08, -0.03),)),
-        (((1.0, -0.4),), ((1.0, -0.2),)),
-        F * TS,
-    )
     filt = RationalTF(
         (((0.7, 0.2), (0.0,)), ((0.0,), (0.9, 0.05))),
         (((1.0, -0.08), (1.0,)), ((1.0,), (1.0, -0.12))),
         TS,
     )
-    loop = MultirateLoopSpec(plant, ctrl, F, input_filters=filt)
+    loop = MultirateLoopSpec(plant, CTRL, F, input_filters=filt)
     r = multisine(MultisineSpec(2, n, TS, (1.0, 0.6), seed=14))
     periods = 6
     sim = simulate(loop, r, periods=periods, seed=0)
     # lifted state-space realization driven by the same lifted excitation
-    oracle = lift_loop_state_space(plant, ctrl, F, input_filters=filt)
+    oracle = lift_loop_state_space(plant, CTRL, F, input_filters=filt)
     stacked = np.vstack([lift(sim.r_h, F).data,
                          np.zeros((F, periods * n // F))])
-    resp = filter_signal(oracle, SignalRecord(stacked, F * TS, SLOW_TAG))
+    resp = filter_signal(oracle, SignalRecord(stacked, F * TS, SLOW))
     m = n // F
     got_u = resp.data[:2 * F, -m:]
     want_u = lift(sim.u_h.period(-1), F).data
@@ -250,14 +227,7 @@ def test_filters_in_oracle_and_prediction():
     got_yl = resp.data[2 * F, -m:]
     assert np.abs(got_yl - sim.y_l.period(-1).data[0]).max() < 1e-9 * scale
     # folded frequency-domain prediction with the filter response included
-    pred = predict_slow_output_steady(
-        freq_response(plant, dft_grid(n, TS)),
-        freq_response(ctrl, dft_grid(m, F * TS)),
-        F, dft(sim.r_h.period(0)),
-        filter_frf=freq_response(filt, dft_grid(n, TS)))
-    got = dft(sim.y_l.period(-1)).values
-    err = np.abs(got - pred.values).max() / np.abs(pred.values).max()
-    assert err < 1e-8
+    assert simulator_oracle_error(loop, sim) < 1e-8
 
 
 def test_surrogate_frf_values_pinned():

@@ -10,6 +10,8 @@ import pytest
 from mrfrf import lrm
 from mrfrf.errors import LocalFitError
 from mrfrf.lrm import LocalModelConfig, fit_local, param_count, sweep_bins
+from mrfrf.validate import (local_regressor, lrm_exactness_error,
+                            random_spectra)
 
 
 def test_param_count_benchmark_settings():
@@ -36,67 +38,29 @@ def test_param_count_siso_single_rate():
     assert data == 42
 
 
-def random_spectra(rng, n_r, m):
-    return rng.standard_normal((n_r, m)) + 1j * rng.standard_normal((n_r, m))
-
-
 def test_constant_model_recovered_exactly():
     rng = np.random.default_rng(0)
-    m = 96
     for n_r, n_z in ((2, 3), (4, 5)):
-        R = random_spectra(rng, n_r, m)
+        R = random_spectra(rng, n_r, 96)
         G0 = random_spectra(rng, n_z, n_r)
         T0 = random_spectra(rng, n_z, 1)[:, 0]
-        Z = G0 @ R + T0[:, None]
-        fit = fit_local(Z, R, 40, LocalModelConfig(half_window=12))
-        assert np.abs(fit.response - G0).max() < 1e-10
-        assert np.abs(fit.transient - T0).max() < 1e-10
-        assert fit.residual < 1e-10
+        err, residual = lrm_exactness_error(
+            R, 40, LocalModelConfig(half_window=12), lambda p: G0, lambda p: T0)
+        assert err < 1e-10 and residual < 1e-10
 
 
 def test_polynomial_model_recovered_exactly():
     # data generated by a cubic matrix polynomial in the window variable plus
     # a cubic transient, denominator identity
     rng = np.random.default_rng(1)
-    m, n_r, n_z, n_w = 128, 2, 3, 15
-    cfg = LocalModelConfig(half_window=n_w)
-    R = random_spectra(rng, n_r, m)
-    k0 = 50
-    Gs = [random_spectra(rng, n_z, n_r) for _ in range(4)]
-    Ts = [random_spectra(rng, n_z, 1)[:, 0] for _ in range(4)]
-    rho = ((np.arange(m) - k0 + m // 2) % m - m // 2) / n_w
-    Z = np.zeros((n_z, m), dtype=complex)
-    for k in range(m):
-        G = sum(Gs[s] * rho[k] ** s for s in range(4))
-        T = sum(Ts[s] * rho[k] ** s for s in range(4))
-        Z[:, k] = G @ R[:, k] + T
-    fit = fit_local(Z, R, k0, cfg)
-    assert np.abs(fit.response - Gs[0]).max() < 1e-9
-    assert np.abs(fit.transient - Ts[0]).max() < 1e-9
-    assert fit.residual < 1e-9
-
-
-def test_matches_normal_equations_oracle():
-    # one output row, 6 unknowns, 21 window rows: compare against the dense
-    # normal-equations solution
-    rng = np.random.default_rng(2)
-    m, n_w = 64, 10
-    cfg = LocalModelConfig(degree_num=1, degree_transient=1, degree_den=2,
-                           half_window=n_w)
-    R = random_spectra(rng, 1, m)
-    Z = random_spectra(rng, 1, m)
-    k0 = 30
-    fit = fit_local(Z, R, k0, cfg)
-    rs = np.arange(-n_w, n_w + 1)
-    idx = (k0 + rs) % m
-    rho = rs / n_w
-    cols = [R[0, idx], rho * R[0, idx], np.ones_like(rho), rho,
-            -rho * Z[0, idx], -rho ** 2 * Z[0, idx]]
-    A = np.stack(cols, axis=1)
-    b = Z[0, idx]
-    theta = np.linalg.solve(A.conj().T @ A, A.conj().T @ b)
-    assert abs(fit.response[0, 0] - theta[0]) < 1e-10
-    assert abs(fit.transient[0] - theta[2]) < 1e-10
+    R = random_spectra(rng, 2, 128)
+    Gs = [random_spectra(rng, 3, 2) for _ in range(4)]
+    Ts = [random_spectra(rng, 3, 1)[:, 0] for _ in range(4)]
+    err, residual = lrm_exactness_error(
+        R, 50, LocalModelConfig(half_window=15),
+        lambda p: sum(G * p ** s for s, G in enumerate(Gs)),
+        lambda p: sum(T * p ** s for s, T in enumerate(Ts)))
+    assert err < 1e-9 and residual < 1e-9
 
 
 def test_solution_is_local_optimum():
@@ -108,12 +72,7 @@ def test_solution_is_local_optimum():
     Z = random_spectra(rng, 1, m)
     k0 = 12
     fit = fit_local(Z, R, k0, cfg)
-    rs = np.arange(-n_w, n_w + 1)
-    idx = (k0 + rs) % m
-    rho = rs / n_w
-    A = np.stack([R[0, idx], rho * R[0, idx], np.ones_like(rho),
-                  -rho * Z[0, idx]], axis=1)
-    b = Z[0, idx]
+    A, b = local_regressor(Z, R, k0, cfg, 0)
     theta, *_ = np.linalg.lstsq(A, b, rcond=None)
     base = np.linalg.norm(A @ theta - b)
     assert abs(fit.residual - base) < 1e-12 * base
@@ -242,19 +201,6 @@ def test_sweep_bins_withholds_bins_whose_solve_fails():
             assert np.isfinite(r.response).all()
 
 
-def regressor(Z, R, k, cfg, i):
-    """Row i's regressor and data at center bin k, built column by column."""
-    n_w = cfg.half_window
-    rs = np.arange(-n_w, n_w + 1)
-    idx = (k + rs) % Z.shape[1]
-    rho = rs / n_w
-    cols = [rho ** s * R[j, idx] for s in range(cfg.degree_num + 1)
-            for j in range(R.shape[0])]
-    cols += [rho ** s + 0j for s in range(cfg.degree_transient + 1)]
-    cols += [-rho ** s * Z[i, idx] for s in range(1, cfg.degree_den + 1)]
-    return np.stack(cols, axis=1), Z[i, idx]
-
-
 @pytest.mark.parametrize("n_r,n_z", [(4, 5), (6, 7)])
 def test_matches_lstsq_at_benchmark_shapes(n_r, n_z):
     rng = np.random.default_rng(20)
@@ -265,7 +211,7 @@ def test_matches_lstsq_at_benchmark_shapes(n_r, n_z):
     fit = fit_local(Z, R, k0, cfg)
     res_sq, conds = 0.0, []
     for i in range(n_z):
-        A, b = regressor(Z, R, k0, cfg, i)
+        A, b = local_regressor(Z, R, k0, cfg, i)
         theta, *_ = np.linalg.lstsq(A, b, rcond=None)
         response, transient = theta[:n_r], theta[n_r * (cfg.degree_num + 1)]
         assert np.abs(fit.response[i] - response).max() \
@@ -287,12 +233,10 @@ def test_rank_deficient_in_model_data_keeps_exact_estimates():
     R = random_spectra(rng, n_r, m)
     G0 = random_spectra(rng, n_z, n_r)
     T0 = random_spectra(rng, n_z, 1)[:, 0]
-    Z = G0 @ R + T0[:, None]
-    A, _ = regressor(Z, R, k0, cfg, 0)
+    A, _ = local_regressor(G0 @ R + T0[:, None], R, k0, cfg, 0)
     assert np.linalg.matrix_rank(A) == A.shape[1] - cfg.degree_den
-    fit = fit_local(Z, R, k0, cfg)
-    assert np.abs(fit.response - G0).max() < 1e-10
-    assert np.abs(fit.transient - T0).max() < 1e-10
+    err, _ = lrm_exactness_error(R, k0, cfg, lambda p: G0, lambda p: T0)
+    assert err < 1e-10
     # two identical excitation rows: the null space reaches the estimates
     R[1] = R[0]
     with pytest.raises(LocalFitError, match="rank"):
