@@ -36,7 +36,8 @@ class BinDiagnostics:
 class IdentResult:
     sensitivity: np.ndarray       # (M, n_u F, n_u F) lifted sensitivity
     process_sens_row: np.ndarray  # (M, n_y, n_u F) first-row lifted process sens.
-    lifted_row: np.ndarray        # (M, n_y, n_u F) first row of the lifted plant
+    lifted_row: np.ndarray        # (M, n_y, n_u F) estimated first row,
+                                  # lift() convention
     frf: FrfMatrix                # fast-grid estimate, withheld bins are NaN
     flags: np.ndarray             # (N,) bool, True where withheld
     diagnostics: BinDiagnostics
@@ -70,42 +71,23 @@ def first_row_lifted_P(sens, ps_row, condition_threshold=1e10):
     return row, cond, flagged
 
 
-def data_row_to_lifted_row(row, factor):
-    """Align the data-domain first row with the analytic lifting convention.
-
-    The row estimated from slow-rate spectra is the textbook polyphase row of
-    the lifted plant; the analytic block formulas used by recover_P carry the
-    off-diagonal blocks in reversed order with an extra one-slow-step delay.
-    Block 0 is shared; analytic block b (b >= 1) equals
-    exp(-j w_k T_l) times data block F - b.
-    """
-    row = np.asarray(row)
-    m, ny, nrf = row.shape
-    F = int(factor)
-    nu = nrf // F
-    z = np.exp(-2j * np.pi * np.arange(m) / m)[:, None, None]
-    out = np.empty_like(row)
-    out[:, :, :nu] = row[:, :, :nu]
-    for b in range(1, F):
-        src = F - b
-        out[:, :, b * nu:(b + 1) * nu] = z * row[:, :, src * nu:(src + 1) * nu]
-    return out
-
-
 def recover_P(lifted_row, factor, n_fast_bins, fast_sample_time,
               flags=None, prefactor_sign=1):
-    """Fast-rate FRF from the first row of the lifted plant.
+    """Fast-rate FRF from the lifted plant's first row, in lift()'s convention.
 
-    P(k) = B_0(k mod M) + sum_{f=1}^{F-1} e^{+j w_k T_l} e^{+j w_k T_h (F-f)}
-    B_f(k mod M), with the prefactors evaluated at the fast-grid frequency,
-    which is what yields distinct values beyond the slow Nyquist frequency.
-    Flagged slow bins propagate to all fast bins that fold onto them.
+    P(k) = sum_{f=0}^{F-1} e^{+j w_k T_h f} B_f(k mod M), the polyphase sum,
+    with the prefactors evaluated at the fast-grid frequency, which is what
+    yields distinct values beyond the slow Nyquist frequency.  Flagged slow
+    bins propagate to all fast bins that fold onto them.
 
     prefactor_sign is a fault-injection hook for the validator; leave at +1.
     """
     row = np.asarray(lifted_row)
     m, ny, nrf = row.shape
     F = int(factor)
+    if nrf % F:
+        raise RateError(f"lifted row width {nrf} is not a multiple of the "
+                        f"factor {F}")
     nu = nrf // F
     n = int(n_fast_bins)
     if n % m:
@@ -116,7 +98,7 @@ def recover_P(lifted_row, factor, n_fast_bins, fast_sample_time,
     base = row[kf % m]
     vals = base[:, :, :nu].copy()
     for f in range(1, F):
-        pref = np.exp(prefactor_sign * 1j * omega * ts * (F + (F - f)))
+        pref = np.exp(prefactor_sign * 1j * omega * ts * f)
         vals += pref[:, None, None] * base[:, :, f * nu:(f + 1) * nu]
     out_flags = np.zeros(n, dtype=bool)
     if flags is not None:
@@ -230,12 +212,11 @@ def identify(u_h, r_h, y_l, factor, config, condition_threshold=1e10):
             warnings.warn(f"mirror of bin {k}: bin {j} is falling back to "
                           f"a polynomial model", RuntimeWarning, stacklevel=2)
 
-    row_data, sens_cond, sing = first_row_lifted_P(sens, ps_row,
-                                                   condition_threshold)
+    lifted_row, sens_cond, sing = first_row_lifted_P(sens, ps_row,
+                                                     condition_threshold)
     failed |= sing
     for k in np.nonzero(sing)[0]:
         messages.setdefault(int(k), "lifted sensitivity near-singular")
-    lifted_row = data_row_to_lifted_row(row_data, F)
     lifted_row[failed] = np.nan + 0j
     frf, flags = recover_P(lifted_row, F, n_one(u_h), u_h.sample_time,
                            flags=failed)

@@ -216,7 +216,8 @@ def diagnostics_to_dict(result):
 #  "ts": 9.920634920634922e-06, "periods": 3, "ident_periods": 2, "seed": 1234}
 #
 # Absent "lrm" keys take LocalModelConfig's defaults; "denominator" may only
-# be "diagonal", the one local model there is.
+# be "diagonal", the one local model there is.  A preset reference
+# {"preset": name, "seed": 1234} takes no other key.
 
 _LRM_KEYS = ("degree_num", "degree_transient", "degree_den", "half_window")
 
@@ -288,6 +289,13 @@ def scenario_from_dict(doc):
     if not isinstance(doc, dict):
         raise ConfigError(f"scenario document must be a JSON object, "
                           f"not {doc!r}")
+    if "preset" in doc and "plant" not in doc:
+        extra = sorted(set(doc) - {"preset", "seed"})
+        if extra:
+            raise ConfigError(f"a scenario preset reference takes only "
+                              f"'preset' and 'seed', not {extra}")
+        return build_benchmark_scenario(doc["preset"],
+                                        seed=_field(doc, "seed", int, 1234))
     try:
         ts = _field(doc, "ts", float, BENCH_FAST_TS)
         factor = _field(doc, "F", int, BENCH_FACTOR)
@@ -379,9 +387,6 @@ def load_scenario(path):
         raise ConfigError(f"scenario file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"scenario file is not valid JSON: {e}") from None
-    if isinstance(doc, dict) and "preset" in doc and "plant" not in doc:
-        return build_benchmark_scenario(doc["preset"],
-                                        seed=_field(doc, "seed", int, 1234))
     return scenario_from_dict(doc)
 
 

@@ -2,7 +2,11 @@
 state-space realization of the multirate closed loop.
 
 The lifting convention stacks channel-major within each time offset: lifted
-row block i holds all channels of fast sample m*F + i.
+row block i holds all channels of fast sample m*F + i.  A lifted system's
+block (a, b) maps input offset b to output offset a; for an LTI system with
+impulse response h it is the slow-rate transfer function
+sum_j h[j F + a - b] z^-j, which is block-Toeplitz with one slow-step delay
+below the diagonal (Chen & Francis 1995, ch. 8).
 """
 
 from dataclasses import dataclass
@@ -146,14 +150,10 @@ def unlift(lifted, rate_tag=FAST, n_periods=None):
 
 @dataclass(frozen=True)
 class LiftedFrf:
-    """FRF of the lifted system on the slow grid.
-
-    values[k] is the (F*n_y) x (F*n_u) lifted response at slow bin k; the
-    polyphase components used to assemble it are kept for inspection.
-    """
+    """FRF of the lifted system on the slow grid, in lift()'s convention:
+    values[k] is the (F*n_y) x (F*n_u) lifted response at slow bin k."""
 
     values: np.ndarray
-    components: np.ndarray  # (F, M, n_y, n_u)
     factor: int
     fast_sample_time: float
 
@@ -163,23 +163,25 @@ class LiftedFrf:
 
     def block(self, a, b):
         """Block (a, b), 0-indexed, shape (M, n_y, n_u)."""
-        ny = self.components.shape[2]
-        nu = self.components.shape[3]
+        ny = self.values.shape[1] // self.factor
+        nu = self.values.shape[2] // self.factor
         return self.values[:, a * ny:(a + 1) * ny, b * nu:(b + 1) * nu]
 
     def first_row(self):
-        """Blocks (0, 0..F-1) stacked: shape (M, n_y, F*n_u)."""
-        ny = self.components.shape[2]
-        return self.values[:, :ny, :]
+        """Blocks (0, 0..F-1), the polyphase components of the system:
+        shape (M, n_y, F*n_u)."""
+        return self.values[:, :self.values.shape[1] // self.factor, :]
 
 
 def lift_frf(frf, factor):
     """Lift a fast-rate FRF to its F x F block representation.
 
-    Component i at slow bin k is (zeta_k^i / F) * sum_f P(phi^f zeta_k) phi^(f i)
-    with phi = exp(2 pi j / F); evaluating P at phi^f zeta_k is an alias-bin
-    lookup on the full fast grid.  Block (a, b) equals component a-b on and
-    below the diagonal and zeta_k^F times component F-(b-a) above it.
+    Block (0, i) at slow bin k is the polyphase component
+    (zeta_k^i / F) * sum_f P(phi^f zeta_k) phi^(f i), with
+    zeta_k = exp(-2 pi j k / N) and phi = exp(2 pi j / F); evaluating P at
+    phi^f zeta_k is an alias-bin lookup on the full fast grid.  Block (a, b)
+    equals block (0, b - a) on and above the diagonal and zeta_k^-F times
+    block (0, F + b - a) below it.
     """
     F = int(factor)
     if F < 1:
@@ -194,20 +196,19 @@ def lift_frf(frf, factor):
     zeta = np.exp(-2j * np.pi * ks / n)
     phi = np.exp(2j * np.pi / F)
     ny, nu = frf.n_outputs, frf.n_inputs
-    comps = np.zeros((F, m, ny, nu), dtype=complex)
+    row = np.empty((m, ny, F * nu), dtype=complex)
     for i in range(F):
-        acc = np.zeros((m, ny, nu), dtype=complex)
-        for f in range(F):
-            idx = (ks - f * m) % n
-            acc += frf.values[idx] * (phi ** (f * i))
-        comps[i] = (zeta ** i)[:, None, None] / F * acc
-    values = np.zeros((m, F * ny, F * nu), dtype=complex)
-    zf = (zeta ** F)[:, None, None]
+        acc = sum(frf.values[(ks - f * m) % n] * phi ** (f * i)
+                  for f in range(F))
+        row[:, :, i * nu:(i + 1) * nu] = (zeta ** i)[:, None, None] / F * acc
+    values = np.empty((m, F * ny, F * nu), dtype=complex)
+    zf = (zeta ** -F)[:, None, None]
     for a in range(F):
-        for b in range(F):
-            blk = comps[a - b] if a >= b else zf * comps[F - (b - a)]
-            values[:, a * ny:(a + 1) * ny, b * nu:(b + 1) * nu] = blk
-    return LiftedFrf(values, comps, F, frf.sample_time)
+        # row a is the first row shifted right by a blocks; the blocks that
+        # wrap around to the left are one slow step ahead
+        values[:, a * ny:(a + 1) * ny, a * nu:] = row[:, :, :(F - a) * nu]
+        values[:, a * ny:(a + 1) * ny, :a * nu] = zf * row[:, :, (F - a) * nu:]
+    return LiftedFrf(values, F, frf.sample_time)
 
 
 class _Affine:

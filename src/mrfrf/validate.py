@@ -105,34 +105,37 @@ def aliasing_error(x, F):
 
 def delay_pin_error(n, ts, mutate=None):
     """Unit delay on n fast bins, factor 2: largest deviation of its lifted
-    components and off-diagonal blocks from their pinned values, and of its
-    recovered fast response from exp(-j w ts)."""
+    blocks from their pinned values ((0,0) and (1,1) null, (0,1) one slow-step
+    delay, (1,0) one), and of its recovered fast response from exp(-j w ts)."""
     plant = RationalTF.siso([0.0, 1.0], [1.0], ts)
     lifted = lift_frf(freq_response(plant, dft_grid(n, ts)), 2)
     m = n // 2
-    zeta_sq = np.exp(-2j * np.pi * np.arange(m) / m)
+    slow_delay = np.exp(-2j * np.pi * np.arange(m) / m)
     sign = -1 if mutate == RECOVERY_SIGN_FLIP else 1
     rec, _ = recover_P(lifted.first_row(), 2, n, ts, prefactor_sign=sign)
-    deviations = (lifted.components[0],
-                  lifted.components[1][:, 0, 0] - zeta_sq,
-                  lifted.block(0, 1)[:, 0, 0] - zeta_sq ** 2,
-                  lifted.block(1, 0)[:, 0, 0] - zeta_sq,
+    deviations = (lifted.block(0, 0), lifted.block(1, 1),
+                  lifted.block(0, 1)[:, 0, 0] - slow_delay,
+                  lifted.block(1, 0)[:, 0, 0] - 1.0,
                   rec.values[:, 0, 0] - np.exp(-1j * dft_grid(n, ts) * ts))
     return max(float(np.abs(d).max()) for d in deviations)
 
 
 def lifted_structure_error(plant, n, F):
-    """Largest deviation of each block of plant's lifted FRF (n fast bins,
-    factor F) from the component that the block structure puts there."""
-    lifted = lift_frf(freq_response(plant, dft_grid(n, plant.sample_time)), F)
-    zf = np.exp(-2j * np.pi * F * np.arange(n // F) / n)
-    worst = 0.0
-    for a in range(F):
-        for b in range(F):
-            want = lifted.components[a - b] if a >= b else \
-                zf[:, None, None] * lifted.components[F - (b - a)]
-            worst = max(worst, float(np.abs(lifted.block(a, b) - want).max()))
-    return worst
+    """Largest deviation of plant's lifted FRF (n fast bins, factor F) from
+    the lifted system of lift(), relative to plant's largest response.
+
+    Column b * n_u + j of the lifted FRF must equal the lifted DFT of the
+    periodic response to a unit impulse at fast sample b on input j, since
+    that impulse lifts to a unit vector at slow sample 0."""
+    ts = plant.sample_time
+    frf = freq_response(plant, dft_grid(n, ts))
+    lifted = lift_frf(frf, F)
+    h = np.fft.ifft(frf.values, axis=0).real  # periodic impulse response
+    cols = [np.fft.fft(lift(SignalRecord(np.roll(h[:, :, j], b, axis=0).T, ts),
+                            F).data, axis=1).T
+            for b in range(F) for j in range(plant.n_inputs)]
+    err = np.abs(lifted.values - np.stack(cols, axis=2)).max()
+    return float(err / np.abs(frf.values).max())
 
 
 def recovery_error(plant, n, F, mutate=None):
@@ -253,7 +256,7 @@ def suite_aliasing(rng):
 
 
 def suite_delay_pin(mutate=None):
-    """Unit delay, factor 2: pinned component values and exact recovery."""
+    """Unit delay, factor 2: pinned block values and exact recovery."""
     return _suite("delay-pin", delay_pin_error(64, 1e-3, mutate), 1e-12)
 
 

@@ -67,10 +67,10 @@ def test_criterion_3_delay_pin():
     err = max(delay_pin_error(n, ts)
               for n, ts in ((3600, 1e-4), (64, 1e-4), (32, 1e-3)))
     _verdict(3, err < 1e-12,
-             f"unit delay, F=2, N in (3600, 64, 32): component 0 null, "
-             f"component 1 = zeta^2, blocks (0,1) = zeta^4 and (1,0) = "
-             f"zeta^2, recovery = exp(-j w T_h); max abs deviation "
-             f"{err:.3e} < 1e-12")
+             f"unit delay, F=2, N in (3600, 64, 32), lift() convention: "
+             f"blocks (0,0) and (1,1) null, (0,1) = zeta^2, (1,0) = 1, "
+             f"recovery = exp(-j w T_h); max abs deviation {err:.3e} "
+             f"< 1e-12")
 
 
 def test_criterion_4_aliasing_identity():

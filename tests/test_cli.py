@@ -165,7 +165,9 @@ def test_bad_scenario_field_is_config_error(tmp_path, capsys):
             ([1, 2], "scenario document"),
             ({**base, "plant": {"preset": "nope"}}, "plant preset 'nope'"),
             ({**base, "controller": {"preset": "anything"}},
-             "controller preset 'anything'")):
+             "controller preset 'anything'"),
+            ({"preset": "default", "noise": 5, "periodz": 3},
+             "['noise', 'periodz']")):
         path = tmp_path / "scenario.json"
         mio.write_json(path, doc)
         rc = main(["generate", "--scenario", str(path),
@@ -225,8 +227,7 @@ def test_validate_mutation_fails(tmp_path, capsys):
     assert rc == 1
     doc = json.loads((out / "validate.json").read_text())
     failing = [s["name"] for s in doc["suites"] if not s["passed"]]
-    assert "recovery-roundtrip" in failing
-    assert "delay-pin" in failing
+    assert failing == ["delay-pin", "recovery-roundtrip"]
 
 
 def test_validate_unknown_mutation(tmp_path):

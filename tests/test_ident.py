@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from mrfrf.errors import DataFormatError, RateError
-from mrfrf.ident import (_averaged_lifted_spectra, data_row_to_lifted_row,
-                         first_row_lifted_P, identify, recover_P)
+from mrfrf.ident import (_averaged_lifted_spectra, first_row_lifted_P,
+                         identify, recover_P)
 from mrfrf.loopsim import MultirateLoopSpec, simulate
 from mrfrf.lrm import LocalModelConfig, sweep_bins
 from mrfrf.lti import RationalTF, dft_grid, freq_response
-from mrfrf.multirate import SignalRecord, lift_frf, lifted_loop_frf
+from mrfrf.multirate import SignalRecord, lifted_loop_frf
 from mrfrf.spectral import MultisineSpec, multisine
 from mrfrf.validate import random_stable_plant
 
@@ -101,6 +101,8 @@ def test_recover_flag_propagation():
     assert flags.sum() == 2
     assert np.isnan(frf.values[3]).all() and np.isnan(frf.values[3 + m]).all()
     assert np.isfinite(frf.values[[0, 1, 2, 4]]).all()
+    with pytest.raises(RateError, match="width 3 .* factor 2"):
+        recover_P(np.ones((4, 1, 3)), 2, 8, 1e-3)
 
 
 def bench_like_loop(rng, factor=F):
@@ -229,25 +231,6 @@ def test_identify_rejects_misaligned_records():
     bad_rate = SignalRecord(sim.y_l.data, TS, "slow")
     with pytest.raises(RateError):
         identify(sim.u_h, sim.r_h, bad_rate, F, cfg)
-
-
-def test_row_convention_alignment_roundtrip():
-    # converting the data-domain row must reproduce the analytic lifted row
-    rng = np.random.default_rng(9)
-    for factor in (2, 3):
-        plant = random_stable_plant(rng, 1, 1, order=3, sample_time=TS)
-        n = 30 * factor
-        m = n // factor
-        frf = freq_response(plant, dft_grid(n, TS))
-        analytic = lift_frf(frf, factor).first_row()
-        # data-domain row: block 0 shared, block b = conj-delay-scaled reverse
-        z = np.exp(-2j * np.pi * np.arange(m) / m)[:, None, None]
-        data_row = np.empty_like(analytic)
-        data_row[:, :, :1] = analytic[:, :, :1]
-        for b in range(1, factor):
-            data_row[:, :, b:b + 1] = analytic[:, :, factor - b:factor - b + 1] / z
-        back = data_row_to_lifted_row(data_row, factor)
-        assert np.abs(back - analytic).max() < 1e-12
 
 
 def test_identify_flags_unidentifiable_bins():

@@ -137,6 +137,8 @@ def test_scenario_roundtrip(tmp_path):
      "section 'controller'.*'q2' or 'literal'"),
     ("controller", None, {"preset": "anything"},
      "unknown controller preset 'anything'"),
+    (None, None, {"preset": "default", "noise": 5, "periodz": 3},
+     r"preset reference .*\['noise', 'periodz'\]"),
 ])
 def test_scenario_bad_field_names_it(section, key, value, name):
     from mrfrf.errors import ConfigError

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrfrf.errors import RateError, SimulationError
 from mrfrf.lti import RationalTF, dft_grid, filter_signal, freq_response
@@ -7,7 +9,9 @@ from mrfrf.multirate import (SignalRecord, downsample, lift, lift_frf,
                              lift_loop_state_space, lifted_loop_frf,
                              upsample_zoh, zero_insert)
 from mrfrf.validate import (lift_roundtrip_error, lifted_structure_error,
-                            noble_error, random_stable_plant)
+                            noble_error, random_stable_plant, recovery_error)
+
+ORACLES = settings(max_examples=60, deadline=None, database=None)
 
 
 def rec(data, ts=1e-3, **kw):
@@ -91,6 +95,15 @@ def test_lift_frf_block_structure_random():
         for _ in range(7):
             plant = random_stable_plant(rng, 2, 2, order=3)
             assert lifted_structure_error(plant, 24 * F, F) < 1e-12
+
+
+@ORACLES
+@given(F=st.integers(1, 5), ny=st.integers(1, 2), nu=st.integers(1, 2),
+       m=st.integers(6, 40), seed=st.integers(0, 2**32 - 1))
+def test_lift_frf_and_recovery_over_shapes(F, ny, nu, m, seed):
+    plant = random_stable_plant(np.random.default_rng(seed), ny, nu, order=3)
+    assert recovery_error(plant, m * F, F) < 1e-10
+    assert lifted_structure_error(plant, m * F, F) < 1e-12
 
 
 def test_lift_frf_components_m_periodic():
