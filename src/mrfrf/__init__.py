@@ -16,11 +16,11 @@ from .loopsim import (MultirateLoopSpec, NoiseSpec, SimulationOutput,
                       benchmark_loop, simulate, surrogate_plant)
 from .lrm import LocalFitResult, LocalModelConfig, fit_local, param_count, sweep_bins
 from .lti import (FrfMatrix, RationalTF, StateSpace, assert_stable,
-                  benchmark_controller, controller_preset, dft_grid,
-                  filter_signal, freq_response, to_state_space)
-from .multirate import (LiftedFrf, LiftedSignal, SignalRecord, downsample,
-                        lift, lift_frf, lift_loop_state_space, unlift,
-                        upsample_zoh, zero_insert)
+                  benchmark_controller, dft_grid, filter_signal, freq_response,
+                  to_state_space)
+from .multirate import (LiftedFrf, SignalRecord, downsample, lift, lift_frf,
+                        lift_loop_state_space, unlift, upsample_zoh,
+                        zero_insert)
 from .spectral import (MultisineSpec, Spectrum, alias_slow_spectrum, dft, idft,
                        multisine, predict_slow_output_steady)
 

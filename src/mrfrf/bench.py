@@ -11,12 +11,11 @@ from .errors import ConfigError
 from .ident import identify
 from .loopsim import (FAST_SAMPLE_TIME, MultirateLoopSpec, NoiseSpec,
                       benchmark_loop, simulate)
-from .lrm import LocalModelConfig, param_count
+from .lrm import LocalModelConfig
 from .lti import dft_grid, freq_response
 from .spectral import MultisineSpec, multisine
 
 #: Identification settings of the dual-stage benchmark configuration.
-BENCH_FAST_TS = FAST_SAMPLE_TIME          # 1/100800 s
 BENCH_FACTOR = 2
 BENCH_SAMPLES = 3600
 BENCH_RMS = (3.6e-9, 8.0e-8)              # (pzt, vcm) excitation levels
@@ -37,10 +36,6 @@ class BenchmarkScenario:
     stroke_bounds: dict = field(default_factory=lambda: {0: PZT_STROKE_BOUND})
 
     def __post_init__(self):
-        ts_l = self.loop.controller.sample_time
-        ts_h = self.loop.plant.sample_time
-        if abs(ts_l - self.loop.factor * ts_h) > 1e-12 * ts_l:
-            raise ConfigError("slow sample time must be factor * fast")
         if self.excitation.n_samples % self.loop.factor:
             raise ConfigError("record length must divide by the factor")
         if not 1 <= self.ident_periods <= self.periods:
@@ -75,8 +70,7 @@ class ErrorReport:
         return lines
 
 
-def build_benchmark_scenario(preset="default", seed=1234, vcm_variant="q2",
-                             eh_std=None):
+def build_benchmark_scenario(preset="default", seed=1234, eh_std=None):
     """Benchmark scenario presets around the surrogate dual-stage plant.
 
     'default'/'noiseless' run without noise; 'noisy' adds white fast output
@@ -91,23 +85,16 @@ def build_benchmark_scenario(preset="default", seed=1234, vcm_variant="q2",
         noise = NoiseSpec(eh_std=2e-10 if eh_std is None else eh_std)
     elif eh_std:
         noise = NoiseSpec(eh_std=eh_std)
-    loop = benchmark_loop(vcm_variant=vcm_variant, noise=noise)
+    loop = benchmark_loop(noise=noise)
     if preset == "zero-plant":
         from .loopsim import surrogate_plant
 
         loop = replace(loop, plant=surrogate_plant("zero"))
     excitation = MultisineSpec(
-        n_channels=2, n_samples=BENCH_SAMPLES, sample_time=BENCH_FAST_TS,
+        n_channels=2, n_samples=BENCH_SAMPLES, sample_time=FAST_SAMPLE_TIME,
         rms=BENCH_RMS, seed=seed,
     )
     return BenchmarkScenario(loop=loop, excitation=excitation, seed=seed)
-
-
-def scenario_feasibility(scenario):
-    """(parameter count, data count) of the local fit; params must fit."""
-    nu = scenario.loop.n_inputs
-    ny = scenario.loop.n_outputs
-    return param_count(scenario.lrm, nu, ny, scenario.loop.factor)
 
 
 def true_plant_frf(scenario):

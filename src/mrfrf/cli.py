@@ -41,7 +41,7 @@ def _parser():
         sp.add_argument("--scenario", required=scenario_required,
                         help="scenario JSON path")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
+        sp.add_argument("--seed", type=mio.non_negative_int, default=None,
                         help="override the scenario seed")
 
     common(sub.add_parser("generate", help="write the excitation records"))
@@ -53,7 +53,7 @@ def _parser():
     sp = sub.add_parser("validate", help="run the analytic self-check suites")
     sp.add_argument("--scenario", required=False, default=None)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=mio.non_negative_int, default=0)
     sp.add_argument("--mutate", default=None,
                     help="inject a named fault (validator self-test)")
     common(sub.add_parser("report", help="compare an identified FRF with the truth"))

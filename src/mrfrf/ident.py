@@ -18,6 +18,9 @@ from .lti import FrfMatrix, dft_grid
 from .multirate import FAST, SLOW, lift
 from .spectral import alias_energy_split, dft
 
+#: A bin whose lifted sensitivity has a larger condition number is withheld.
+SENS_CONDITION_LIMIT = 1e10
+
 
 @dataclass(frozen=True)
 class BinDiagnostics:
@@ -30,6 +33,7 @@ class BinDiagnostics:
     failed: np.ndarray            # bool: bin withheld
     messages: dict                # bin -> failure message
     alias_energy: np.ndarray      # (F, M) excitation energy split across aliases
+    condition_threshold: float    # fit_condition above which the fit fell back
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,7 @@ class IdentResult:
         return self.sensitivity.shape[0]
 
 
-def first_row_lifted_P(sens, ps_row, condition_threshold=1e10):
+def first_row_lifted_P(sens, ps_row, condition_threshold=SENS_CONDITION_LIMIT):
     """Indirect first row of the lifted plant: ps_row @ sens^-1 per bin.
 
     Returns (row, condition, flagged); flagged bins (singular or condition
@@ -119,7 +123,7 @@ def _averaged_lifted_spectra(u_h, r_h, y_l, factor):
         acc = None
         for rec in per:
             if do_lift:
-                data = lift(rec, factor).data
+                data = lift(rec, factor)
                 vals = np.fft.fft(data, axis=1)
             else:
                 vals = dft(rec).values
@@ -129,7 +133,7 @@ def _averaged_lifted_spectra(u_h, r_h, y_l, factor):
     return (spectra(u_h, True), spectra(r_h, True), spectra(y_l, False))
 
 
-def identify(u_h, r_h, y_l, factor, config, condition_threshold=1e10):
+def identify(u_h, r_h, y_l, factor, config):
     """Run the full identification pipeline on one experiment.
 
     u_h and r_h are fast-rate records of the plant input and excitation; y_l
@@ -174,9 +178,13 @@ def identify(u_h, r_h, y_l, factor, config, condition_threshold=1e10):
             f"configuration infeasible: {n_params} parameters against "
             f"{n_data} data points per window"
         )
+    m = n_one(u_h) // F
+    if 2 * config.half_window + 1 > m:
+        raise RateError(
+            f"local-model window of half_window {config.half_window} is "
+            f"wider than the slow grid of M={m} bins")
     U, R, Y = _averaged_lifted_spectra(u_h, r_h, y_l, F)
     Z = np.vstack([U, Y])
-    m = Z.shape[1]
 
     half = m // 2 + 1
     fits = sweep_bins(Z, R, range(half), config)
@@ -212,8 +220,7 @@ def identify(u_h, r_h, y_l, factor, config, condition_threshold=1e10):
             warnings.warn(f"mirror of bin {k}: bin {j} is falling back to "
                           f"a polynomial model", RuntimeWarning, stacklevel=2)
 
-    lifted_row, sens_cond, sing = first_row_lifted_P(sens, ps_row,
-                                                     condition_threshold)
+    lifted_row, sens_cond, sing = first_row_lifted_P(sens, ps_row)
     failed |= sing
     for k in np.nonzero(sing)[0]:
         messages.setdefault(int(k), "lifted sensitivity near-singular")
@@ -223,7 +230,7 @@ def identify(u_h, r_h, y_l, factor, config, condition_threshold=1e10):
     r_one = r_h.period(0) if (r_h.n_periods or 1) > 1 else r_h
     energy = alias_energy_split(dft(r_one), F)
     diag = BinDiagnostics(residual, fit_cond, sens_cond, fallback, failed,
-                          messages, energy)
+                          messages, energy, config.condition_threshold)
     return IdentResult(sens, ps_row, lifted_row, frf, flags, diag, F)
 
 

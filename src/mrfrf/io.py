@@ -10,12 +10,14 @@ import math
 
 import numpy as np
 
-from .bench import (BENCH_FACTOR, BENCH_FAST_TS, BENCH_RMS, BENCH_SAMPLES,
-                    BenchmarkScenario, build_benchmark_scenario)
+from .bench import (BENCH_FACTOR, BENCH_RMS, BENCH_SAMPLES, BenchmarkScenario,
+                    build_benchmark_scenario)
 from .errors import (ConfigError, DataFormatError, LocalFitError, LtiError,
                      RateError)
+from .ident import SENS_CONDITION_LIMIT
 from .lrm import LocalModelConfig
-from .loopsim import MultirateLoopSpec, NoiseSpec, surrogate_plant
+from .loopsim import (FAST_SAMPLE_TIME, MultirateLoopSpec, NoiseSpec,
+                      surrogate_plant)
 from .lti import benchmark_controller, system_from_dict, system_to_dict
 from .multirate import FAST, SignalRecord
 from .spectral import MultisineSpec
@@ -201,6 +203,8 @@ def diagnostics_to_dict(result):
         "failed_bins": [int(k) for k in np.nonzero(d.failed)[0]],
         "messages": {str(k): v for k, v in sorted(d.messages.items())},
         "alias_energy_min_share": [float(x) for x in d.alias_energy.min(axis=0)],
+        "condition_threshold": float(d.condition_threshold),
+        "sens_condition_limit": SENS_CONDITION_LIMIT,
     }
 
 
@@ -231,6 +235,14 @@ def _field(doc, key, convert, default, section=""):
     except (TypeError, ValueError):
         raise ConfigError(f"scenario field {section + key!r} has an invalid "
                           f"value {value!r}") from None
+
+
+def non_negative_int(value):
+    """int(value), which must not be negative (a seed, for one)."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(value)
+    return value
 
 
 def _diagonal_only(value):
@@ -280,7 +292,7 @@ def _system_from_doc(doc, ts, role):
     if isinstance(doc, dict):
         try:
             return system_from_dict(doc)
-        except (TypeError, ValueError) as e:
+        except (LtiError, TypeError, ValueError) as e:
             raise ConfigError(f"{role} system document is invalid: {e}") from None
     raise ConfigError(f"{role} must be a system document or a preset reference")
 
@@ -294,10 +306,10 @@ def scenario_from_dict(doc):
         if extra:
             raise ConfigError(f"a scenario preset reference takes only "
                               f"'preset' and 'seed', not {extra}")
-        return build_benchmark_scenario(doc["preset"],
-                                        seed=_field(doc, "seed", int, 1234))
+        return build_benchmark_scenario(
+            doc["preset"], seed=_field(doc, "seed", non_negative_int, 1234))
     try:
-        ts = _field(doc, "ts", float, BENCH_FAST_TS)
+        ts = _field(doc, "ts", float, FAST_SAMPLE_TIME)
         factor = _field(doc, "F", int, BENCH_FACTOR)
         plant = _system_from_doc(doc["plant"], ts, "plant")
         controller = _system_from_doc(doc["controller"], ts * factor,
@@ -307,11 +319,12 @@ def scenario_from_dict(doc):
     filters = _system_from_doc(doc.get("filters"), ts, "filters")
     nd = _section(doc, "noise")
     shaping = _system_from_doc(nd.get("H"), ts, "noise shaping")
-    noise = NoiseSpec(eh_std=_field(nd, "eh_std", float, 0.0, "noise."),
-                      el_std=_field(nd, "el_std", float, 0.0, "noise."),
-                      dh_std=_field(nd, "dh_std", float, 0.0, "noise."),
-                      dh_channel=_field(nd, "dh_channel", int, 1, "noise."),
-                      shaping=shaping)
+    noise = _spec("noise", NoiseSpec,
+                  eh_std=_field(nd, "eh_std", float, 0.0, "noise."),
+                  el_std=_field(nd, "el_std", float, 0.0, "noise."),
+                  dh_std=_field(nd, "dh_std", float, 0.0, "noise."),
+                  dh_channel=_field(nd, "dh_channel", int, 1, "noise."),
+                  shaping=shaping)
     loop = _spec("plant/controller/filters/F", MultirateLoopSpec, plant,
                  controller, factor, input_filters=filters, noise=noise)
     if ("dh_channel" in nd or noise.dh_std > 0) and \
@@ -320,7 +333,7 @@ def scenario_from_dict(doc):
                           f"{noise.dh_channel} of a plant with "
                           f"{loop.n_inputs} inputs")
     ed = _section(doc, "excitation")
-    seed = _field(doc, "seed", int, 1234)
+    seed = _field(doc, "seed", non_negative_int, 1234)
     excitation = _spec(
         "excitation", MultisineSpec,
         n_channels=plant.n_inputs,
@@ -328,7 +341,7 @@ def scenario_from_dict(doc):
         sample_time=ts,
         rms=_field(ed, "rms", lambda v: np.asarray(v, dtype=float),
                    BENCH_RMS[:plant.n_inputs], "excitation."),
-        seed=_field(ed, "seed", int, seed, "excitation."),
+        seed=_field(ed, "seed", non_negative_int, seed, "excitation."),
         phase_scheme=ed.get("scheme", "random"),
         excite_dc=_field(ed, "excite_dc", _json_bool, False, "excitation."),
     )
@@ -389,6 +402,3 @@ def load_scenario(path):
         raise ConfigError(f"scenario file is not valid JSON: {e}") from None
     return scenario_from_dict(doc)
 
-
-def save_scenario(path, scenario):
-    write_json(path, scenario_to_dict(scenario))

@@ -28,6 +28,13 @@ class NoiseSpec:
     dh_channel: int = 1
     shaping: object = None  # fast-rate RationalTF/StateSpace, identity if None
 
+    def __post_init__(self):
+        for name in ("eh_std", "el_std", "dh_std"):
+            level = getattr(self, name)
+            if not 0 <= level < np.inf:
+                raise RateError(f"noise level {name} must be finite and "
+                                f"non-negative, not {level!r}")
+
 
 @dataclass(frozen=True)
 class MultirateLoopSpec:
@@ -70,7 +77,7 @@ class SimulationOutput:
     seed: int
 
 
-def simulate(spec, r_h, periods=1, seed=0, check_stability=True):
+def simulate(spec, r_h, periods=1, seed=0):
     """Run the loop for `periods` repetitions of the excitation record.
 
     The excitation record is treated as one period and tiled.  All noise draws
@@ -91,12 +98,11 @@ def simulate(spec, r_h, periods=1, seed=0, check_stability=True):
         raise RateError("excitation sample time must match the plant")
     if r_h.n_samples % F:
         raise RateError("period length must be divisible by the factor")
-    if check_stability:
-        assert_stable(spec.plant, "plant")
-        if spec.input_filters is not None:
-            assert_stable(spec.input_filters, "input filters")
-        if spec.noise.shaping is not None:
-            assert_stable(spec.noise.shaping, "noise shaping")
+    assert_stable(spec.plant, "plant")
+    if spec.input_filters is not None:
+        assert_stable(spec.input_filters, "input filters")
+    if spec.noise.shaping is not None:
+        assert_stable(spec.noise.shaping, "noise shaping")
     W, minv = loop_feedthrough(P, C, spec.input_filters)
 
     n_fast = r_h.n_samples * periods
@@ -234,10 +240,9 @@ def surrogate_plant(preset, sample_time=FAST_SAMPLE_TIME):
                    f"available: {sorted(SURROGATE_PRESETS)}")
 
 
-def benchmark_loop(vcm_variant="q2", noise=None, sample_time=FAST_SAMPLE_TIME,
-                   factor=2):
+def benchmark_loop(noise=None, factor=2):
     """The surrogate dual-stage loop under the benchmark controllers."""
-    plant = surrogate_plant("hdd-dual-stage", sample_time)
-    controller = benchmark_controller(sample_time * factor, vcm_variant)
+    plant = surrogate_plant("hdd-dual-stage")
+    controller = benchmark_controller(FAST_SAMPLE_TIME * factor)
     return MultirateLoopSpec(plant, controller, factor,
                              noise=noise or NoiseSpec())

@@ -77,13 +77,6 @@ class RationalTF:
         den = tuple(tuple(np.array([1.0]) for _ in row) for row in g)
         return cls(num, den, sample_time)
 
-    @classmethod
-    def identity(cls, n, sample_time):
-        return cls.static_gain(np.eye(n), sample_time)
-
-    def entry(self, i, j):
-        return self.num[i][j], self.den[i][j]
-
     def poles(self):
         """All finite poles (roots of the entry denominators in z)."""
         out = []
@@ -177,9 +170,6 @@ class FrfMatrix:
     @property
     def n_inputs(self):
         return self.values.shape[2]
-
-    def entry(self, i, j):
-        return self.values[:, i, j]
 
     def is_full_circle_grid(self, rtol=1e-9):
         """True if omega_k = 2 pi k / (N T) for k = 0..N-1."""
@@ -308,8 +298,8 @@ def assert_stable(sys, what="system"):
         raise LtiError(f"{what} is not strictly stable (pole radius {radius:.9f})")
 
 
-def filter_signal(sys, record, x0=None):
-    """Run a state-space (or rational) system over a SignalRecord."""
+def filter_signal(sys, record):
+    """Run a state-space (or rational) system from rest over a SignalRecord."""
     from .multirate import SignalRecord
 
     ss = to_state_space(sys)
@@ -323,15 +313,9 @@ def filter_signal(sys, record, x0=None):
             f"channel count {record.n_channels} does not match "
             f"system inputs {ss.n_inputs}"
         )
-    if x0 is None:
-        x0 = np.zeros(ss.n_states)
-    else:
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if x0.size != ss.n_states:
-            raise LtiError("initial state has wrong dimension")
     A, B, C, D = (np.ascontiguousarray(M) for M in (ss.A, ss.B, ss.C, ss.D))
     u = np.ascontiguousarray(record.data.T)
-    y = _accel.ss_filter(A, B, C, D, u, x0)
+    y = _accel.ss_filter(A, B, C, D, u, np.zeros(ss.n_states))
     return SignalRecord(np.ascontiguousarray(y.T), record.sample_time,
                         record.rate_tag, n_periods=record.n_periods)
 
@@ -385,28 +369,9 @@ CV_NUM_LITERAL = (0.65, 0.020 - 0.63)
 CV_DEN = (1.0, -1.4, 0.51)
 
 
-def controller_preset(name, sample_time):
-    """Named SISO controller presets.
-
-    'hdd-pzt' is the position-loop compensator; 'hdd-vcm-q2' and
-    'hdd-vcm-literal' are two readings of the velocity-loop numerator, whose
-    coefficient set repeats a first-order term that is plausibly a
-    second-order one; both readings share the same DC gain.
-    """
-    table = {
-        "hdd-pzt": (CP_NUM, CP_DEN),
-        "hdd-vcm-q2": (CV_NUM_Q2, CV_DEN),
-        "hdd-vcm-literal": (CV_NUM_LITERAL, CV_DEN),
-    }
-    if name not in table:
-        raise LtiError(f"unknown controller preset {name!r}; "
-                       f"available: {sorted(table)}")
-    num, den = table[name]
-    return RationalTF.siso(num, den, sample_time)
-
-
 def benchmark_controller(sample_time, vcm_variant="q2"):
-    """2x1 controller [position; velocity] feeding the (pzt, vcm) inputs."""
+    """2x1 controller [position; velocity] feeding the (pzt, vcm) inputs;
+    vcm_variant picks a reading of the velocity numerator (same DC gain)."""
     if vcm_variant not in ("q2", "literal"):
         raise LtiError("vcm_variant must be 'q2' or 'literal'")
     cv = CV_NUM_Q2 if vcm_variant == "q2" else CV_NUM_LITERAL

@@ -72,27 +72,6 @@ class SignalRecord:
                             self.rate_tag, n_periods=count)
 
 
-@dataclass(frozen=True)
-class LiftedSignal:
-    """Lifted (slow-rate, stacked) signal: (F * channels) x M."""
-
-    data: np.ndarray
-    sample_time: float
-    factor: int
-    n_base_channels: int
-
-    def __post_init__(self):
-        d = np.atleast_2d(np.asarray(self.data, dtype=float)).copy()
-        if d.shape[0] != self.factor * self.n_base_channels:
-            raise RateError("lifted row count must be factor * channels")
-        d.setflags(write=False)
-        object.__setattr__(self, "data", d)
-
-    @property
-    def n_slow_samples(self):
-        return self.data.shape[1]
-
-
 def _check_factor(record, factor):
     if factor < 1 or int(factor) != factor:
         raise RateError("downsampling factor must be a positive integer")
@@ -129,23 +108,18 @@ def upsample_zoh(record, factor):
 
 
 def lift(record, factor):
-    """Rearrange F consecutive fast samples into one stacked slow sample."""
+    """Rearrange F consecutive fast samples into one stacked slow sample:
+    returns the (F * channels, M) lifted array."""
     _check_factor(record, factor)
-    rows = np.vstack([record.data[:, i::factor] for i in range(factor)])
-    return LiftedSignal(rows, record.sample_time * factor, factor,
-                        record.n_channels)
+    return np.vstack([record.data[:, i::factor] for i in range(factor)])
 
 
-def unlift(lifted, rate_tag=FAST, n_periods=None):
-    """Exact inverse of lift()."""
-    ch = lifted.n_base_channels
-    F = lifted.factor
-    m = lifted.n_slow_samples
-    out = np.empty((ch, m * F))
-    for i in range(F):
-        out[:, i::F] = lifted.data[i * ch:(i + 1) * ch]
-    return SignalRecord(out, lifted.sample_time / F, rate_tag,
-                        n_periods=n_periods)
+def unlift(lifted, factor, sample_time):
+    """Exact inverse of lift(): the fast record of a lifted array whose slow
+    sample time is sample_time."""
+    blocks = lifted.reshape(factor, -1, lifted.shape[1])  # (offset, ch, M)
+    return SignalRecord(blocks.transpose(1, 2, 0).reshape(blocks.shape[1], -1),
+                        sample_time / factor, FAST)
 
 
 @dataclass(frozen=True)
@@ -156,10 +130,6 @@ class LiftedFrf:
     values: np.ndarray
     factor: int
     fast_sample_time: float
-
-    @property
-    def n_slow_bins(self):
-        return self.values.shape[0]
 
     def block(self, a, b):
         """Block (a, b), 0-indexed, shape (M, n_y, n_u)."""

@@ -44,11 +44,10 @@ def dft(record):
                     record.rate_tag)
 
 
-def idft(spectrum, rate_tag=None, n_periods=None):
+def idft(spectrum):
     """Inverse DFT (applies 1/N); imaginary residue is discarded."""
     x = np.fft.ifft(spectrum.values, axis=1).real
-    return SignalRecord(x, spectrum.sample_time,
-                        rate_tag or spectrum.rate_tag, n_periods=n_periods)
+    return SignalRecord(x, spectrum.sample_time, spectrum.rate_tag)
 
 
 def alias_slow_spectrum(spectrum, factor):
@@ -82,11 +81,10 @@ class MultisineSpec:
     phase_scheme: str = "random"
     amplitude: np.ndarray | None = None
     excite_dc: bool = False
-    rate_tag: str = FAST
 
     def __post_init__(self):
-        if self.n_samples % 2:
-            raise RateError("n_samples must be even")
+        if self.n_samples < 2 or self.n_samples % 2:
+            raise RateError("n_samples must be even and at least 2")
         if self.phase_scheme not in ("random", "orthogonal"):
             raise RateError("phase_scheme must be 'random' or 'orthogonal'")
         rms = np.asarray(self.rms, dtype=float).reshape(-1)
@@ -94,6 +92,9 @@ class MultisineSpec:
             rms = np.repeat(rms, self.n_channels)
         if rms.size != self.n_channels:
             raise RateError("rms must be scalar or one value per channel")
+        if not np.all(np.isfinite(rms) & (rms >= 0)):
+            raise RateError(f"rms must be finite and non-negative, "
+                            f"not {rms.tolist()}")
         object.__setattr__(self, "rms", tuple(float(r) for r in rms))
 
     def amplitude_profile(self):
@@ -139,7 +140,7 @@ def multisine(spec):
         x = np.fft.ifft(X).real
         level = np.sqrt(np.mean(x * x))
         out[c] = x * (spec.rms[c] / level) if level > 0 else x
-    return SignalRecord(out, spec.sample_time, spec.rate_tag, n_periods=1)
+    return SignalRecord(out, spec.sample_time, FAST, n_periods=1)
 
 
 def _zoh_gain(zeta, factor):

@@ -30,15 +30,14 @@ RECOVERY_SIGN_FLIP = "recovery-sign-flip"
 MUTATIONS = (RECOVERY_SIGN_FLIP,)
 
 
-def random_stable_plant(rng, n_outputs=1, n_inputs=1, order=4, sample_time=1.0,
-                        min_dynamic_range=1e-3, n_grid=240):
+def random_stable_plant(rng, n_outputs=1, n_inputs=1, order=4, sample_time=1.0):
     """Random stable rational plant with entry responses bounded away from 0.
 
     Zeros are kept off the unit circle so per-bin relative error against the
     true response stays meaningful; plants whose entries swing over more than
-    1/min_dynamic_range in magnitude are rejected and redrawn.
+    a factor 1e3 in magnitude on a 240-bin grid are rejected and redrawn.
     """
-    grid = dft_grid(n_grid, sample_time)
+    grid = dft_grid(240, sample_time)
     for _ in range(200):
         num = []
         den = []
@@ -62,7 +61,7 @@ def random_stable_plant(rng, n_outputs=1, n_inputs=1, order=4, sample_time=1.0,
         frf = freq_response(plant, grid)
         mags = np.abs(frf.values)
         ratio = mags.min(axis=0) / mags.max(axis=0)
-        if ratio.min() >= min_dynamic_range:
+        if ratio.min() >= 1e-3:
             return plant
     raise RuntimeError("failed to draw a well-scaled random plant")
 
@@ -84,7 +83,8 @@ def lift_roundtrip_error(x, F):
     """0 when lift/unlift and hold/downsample invert each other exactly on
     record x at factor F, else 1."""
     slow = downsample(x, F)
-    exact = (np.array_equal(unlift(lift(x, F)).data, x.data)
+    exact = (np.array_equal(unlift(lift(x, F), F, slow.sample_time).data,
+                            x.data)
              and np.array_equal(downsample(upsample_zoh(slow, F), F).data,
                                 slow.data))
     return 0.0 if exact else 1.0
@@ -132,7 +132,7 @@ def lifted_structure_error(plant, n, F):
     lifted = lift_frf(frf, F)
     h = np.fft.ifft(frf.values, axis=0).real  # periodic impulse response
     cols = [np.fft.fft(lift(SignalRecord(np.roll(h[:, :, j], b, axis=0).T, ts),
-                            F).data, axis=1).T
+                            F), axis=1).T
             for b in range(F) for j in range(plant.n_inputs)]
     err = np.abs(lifted.values - np.stack(cols, axis=2)).max()
     return float(err / np.abs(frf.values).max())
@@ -155,7 +155,7 @@ def noble_error(plant, x, F):
     zero_c = RationalTF.static_gain([[0.0]], ts * F)
     direct = downsample(filter_signal(plant, x), F)
     oracle = lift_loop_state_space(plant, zero_c, F)
-    lifted_in = np.vstack([lift(x, F).data, np.zeros((F, n // F))])
+    lifted_in = np.vstack([lift(x, F), np.zeros((F, n // F))])
     y = filter_signal(oracle, SignalRecord(lifted_in, ts * F, SLOW))
     y_slow_row = F  # outputs stack the F lifted inputs, then y_l
     return float(np.abs(y.data[y_slow_row] - direct.data[0]).max())
@@ -293,14 +293,15 @@ def suite_noble_identity(rng):
 
 
 def _plant_in_settling_loop(rng, ctrl, F, ts):
-    """A random 1x2 plant whose closed loop with ctrl is stable with margin.
+    """A random plant shaped to ctrl whose closed loop is stable with margin.
 
     The steady-state oracle holds only once the transient has died out; a
     plant that destabilizes the loop (spectral radius 1.0016 at run_suites
     seed 1000050) is redrawn, as is one that settles too slowly for five
     periods of 120 slow steps (0.95**600 is about 4e-14)."""
     for _ in range(50):
-        plant = random_stable_plant(rng, 1, 2, order=2, sample_time=ts)
+        plant = random_stable_plant(rng, ctrl.n_inputs, ctrl.n_outputs,
+                                    order=2, sample_time=ts)
         try:
             slow = lift_loop_state_space(plant, ctrl, F)
         except SimulationError:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mrfrf.bench import (build_benchmark_scenario, error_report,
-                         run_benchmark, scenario_feasibility)
+from mrfrf.bench import build_benchmark_scenario, error_report, run_benchmark
 from mrfrf.errors import ConfigError
+from mrfrf.lrm import param_count
 from mrfrf.lti import FrfMatrix, dft_grid
 
 
@@ -19,9 +19,10 @@ def test_scenario_reproduces_identification_settings():
     assert sc.lrm.half_window == 30
 
 
-def test_scenario_feasibility_counts():
+def test_default_scenario_param_count():
     sc = build_benchmark_scenario("default")
-    params, data = scenario_feasibility(sc)
+    params, data = param_count(sc.lrm, sc.loop.n_inputs, sc.loop.n_outputs,
+                               sc.loop.factor)
     assert params == 115
     assert data == 305
     assert params <= data
@@ -144,7 +145,7 @@ def test_noiseless_sweep_residual_energy(default_run):
     sc, result, _, sim, _ = default_run
     F = sc.loop.factor
     u1 = sim.u_h.period(-1)
-    U = np.fft.fft(lift(u1, F).data, axis=1)
+    U = np.fft.fft(lift(u1, F), axis=1)
     Y = np.fft.fft(sim.y_l.period(-1).data, axis=1)
     Z = np.vstack([U, Y])
     m = Z.shape[1]

@@ -72,6 +72,26 @@ def test_identify_end_to_end(scenario_path, sim_dir, capsys):
     assert "residual p95" in out
 
 
+def test_diagnostics_carry_the_thresholds_they_apply(scenario_path, sim_dir):
+    from mrfrf.ident import SENS_CONDITION_LIMIT
+    from mrfrf.lrm import LocalModelConfig
+
+    assert main(["identify", "--scenario", scenario_path,
+                 "--data", str(sim_dir), "--out", str(sim_dir)]) == 0
+    d = json.loads((sim_dir / "diagnostics.json").read_text())
+    assert d["condition_threshold"] == LocalModelConfig().condition_threshold
+    assert d["sens_condition_limit"] == SENS_CONDITION_LIMIT
+    fallback, failed = set(d["fallback_bins"]), set(d["failed_bins"])
+    for k in range(d["n_slow_bins"]):
+        # a fit above the trigger falls back; a bin is withheld exactly
+        # when its sensitivity condition is above the limit (a failed fit
+        # leaves the condition infinite)
+        if d["fit_condition"][k] > d["condition_threshold"]:
+            assert k in fallback or k in failed
+        assert (d["sens_condition"][k] > d["sens_condition_limit"]) \
+            == (k in failed)
+
+
 def test_report_after_identify(scenario_path, sim_dir, capsys):
     rc = main(["report", "--scenario", scenario_path, "--out", str(sim_dir)])
     assert rc == 0
@@ -167,13 +187,37 @@ def test_bad_scenario_field_is_config_error(tmp_path, capsys):
             ({**base, "controller": {"preset": "anything"}},
              "controller preset 'anything'"),
             ({"preset": "default", "noise": 5, "periodz": 3},
-             "['noise', 'periodz']")):
+             "['noise', 'periodz']"),
+            ({**base, "seed": -1}, "field 'seed'"),
+            ({"preset": "default", "seed": -1}, "field 'seed'"),
+            ({**base, "excitation": {**base["excitation"], "seed": -1}},
+             "excitation.seed"),
+            ({**base, "excitation": {**base["excitation"], "n_samples": 0}},
+             "n_samples"),
+            ({**base, "excitation": {**base["excitation"], "n_samples": -4}},
+             "n_samples"),
+            ({**base, "excitation": {**base["excitation"],
+                                     "rms": [-3.6e-9, 8e-8]}}, "rms"),
+            ({**base, "noise": {**base["noise"], "eh_std": -1e-9}}, "eh_std"),
+            ({**base, "noise": {**base["noise"], "eh_std": float("nan")}},
+             "eh_std"),
+            ({**base, "noise": {**base["noise"], "el_std": -1.0}}, "el_std"),
+            ({**base, "noise": {**base["noise"], "dh_std": -1.0}}, "dh_std"),
+            ({**base, "plant": {**base["plant"], "den": [[2.0], [1.0]]}},
+             "plant system document")):
         path = tmp_path / "scenario.json"
         mio.write_json(path, doc)
         rc = main(["generate", "--scenario", str(path),
                    "--out", str(tmp_path)])
         assert rc == 2
         assert name in capsys.readouterr().err
+    # argparse rejects a negative seed override on every command
+    mio.write_json(path, base)
+    for command in ("generate", "simulate", "identify", "validate", "report"):
+        rc = main([command, "--scenario", str(path), "--out", str(tmp_path),
+                   "--seed", "-3"])
+        assert rc == 2
+        assert "argument --seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dh_std", [0.0, 1e-9])

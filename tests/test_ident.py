@@ -11,7 +11,7 @@ from mrfrf.lrm import LocalModelConfig, sweep_bins
 from mrfrf.lti import RationalTF, dft_grid, freq_response
 from mrfrf.multirate import SignalRecord, lifted_loop_frf
 from mrfrf.spectral import MultisineSpec, multisine
-from mrfrf.validate import random_stable_plant
+from mrfrf.validate import _plant_in_settling_loop, random_stable_plant
 
 TS = 1e-4
 F = 2
@@ -231,6 +231,11 @@ def test_identify_rejects_misaligned_records():
     bad_rate = SignalRecord(sim.y_l.data, TS, "slow")
     with pytest.raises(RateError):
         identify(sim.u_h, sim.r_h, bad_rate, F, cfg)
+    # a window wider than the slow grid would wrap onto itself
+    wide = LocalModelConfig(degree_num=0, degree_transient=0, degree_den=0,
+                            half_window=100)
+    with pytest.raises(RateError, match="half_window 100 .* M=120 "):
+        identify(sim.u_h, sim.r_h, sim.y_l, F, wide)
 
 
 def test_identify_flags_unidentifiable_bins():
@@ -261,6 +266,26 @@ def test_identify_flags_unidentifiable_bins():
     assert mirrored
     for k in mirrored:
         assert d.messages[k] == f"mirror of bin {m - k}: {d.messages[m - k]}"
+
+
+@pytest.mark.parametrize("factor", [3, 4])
+def test_identify_two_by_two_plant_above_slow_nyquist(factor):
+    ctrl = RationalTF.static_gain(0.05 * np.eye(2), factor * TS)
+    rng = np.random.default_rng(0)
+    plant = _plant_in_settling_loop(rng, ctrl, factor, TS)
+    n = 240 * factor
+    cfg = LocalModelConfig(degree_num=2, degree_transient=2, degree_den=2,
+                           half_window=20)
+    result, _ = run_ident(MultirateLoopSpec(plant, ctrl, factor), n, seed=0,
+                          periods=4, ident_periods=2, rms=(1.0, 1.0),
+                          config=cfg)
+    assert not result.flags.any()
+    truth = freq_response(plant, dft_grid(n, TS)).values
+    k = np.arange(n)
+    above = np.minimum(k, n - k) > n / (2 * factor)  # beyond slow Nyquist
+    rel = np.abs(result.frf.values[above] - truth[above]) / np.abs(truth[above])
+    assert rel.max() < 0.1
+    assert np.percentile(rel, 95) < 0.03
 
 
 def _rel(a, b):

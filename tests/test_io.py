@@ -102,7 +102,7 @@ def test_frf_entry_csv_flagged_row_may_be_non_finite(tmp_path):
 def test_scenario_roundtrip(tmp_path):
     sc = build_benchmark_scenario("noisy", seed=9)
     path = tmp_path / "scenario.json"
-    mio.save_scenario(path, sc)
+    mio.write_json(path, mio.scenario_to_dict(sc))
     back = mio.load_scenario(path)
     assert back.loop.factor == sc.loop.factor
     assert back.excitation.rms == sc.excitation.rms
@@ -139,6 +139,17 @@ def test_scenario_roundtrip(tmp_path):
      "unknown controller preset 'anything'"),
     (None, None, {"preset": "default", "noise": 5, "periodz": 3},
      r"preset reference .*\['noise', 'periodz'\]"),
+    ("seed", None, -1, "field 'seed'"),
+    (None, None, {"preset": "default", "seed": -1}, "field 'seed'"),
+    ("excitation", "seed", -1, "excitation.seed"),
+    ("excitation", "n_samples", 0, "section 'excitation'.*n_samples"),
+    ("excitation", "n_samples", -4, "section 'excitation'.*n_samples"),
+    ("excitation", "rms", [-3.6e-9, 8e-8], "section 'excitation'.*rms"),
+    ("noise", "eh_std", -1e-9, "section 'noise'.*eh_std"),
+    ("noise", "eh_std", float("nan"), "section 'noise'.*eh_std"),
+    ("noise", "el_std", -1.0, "section 'noise'.*el_std"),
+    ("noise", "dh_std", float("inf"), "section 'noise'.*dh_std"),
+    ("plant", "den", [[2.0], [1.0]], "plant system document.*exactly 1"),
 ])
 def test_scenario_bad_field_names_it(section, key, value, name):
     from mrfrf.errors import ConfigError

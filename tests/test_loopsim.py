@@ -116,8 +116,7 @@ def test_instability_guard_overflows():
     ctrl = RationalTF.static_gain([[-1.5]], F * TS)  # positive feedback
     r = SignalRecord(np.ones((1, 4000)), TS, n_periods=1)
     with pytest.raises(SimulationError, match="overflow|unstable"):
-        simulate(MultirateLoopSpec(plant, ctrl, F), r, periods=1, seed=0,
-                 check_stability=False)
+        simulate(MultirateLoopSpec(plant, ctrl, F), r, periods=1, seed=0)
 
 
 def test_unstable_plant_rejected_before_simulation():
@@ -216,12 +215,11 @@ def test_filters_in_oracle_and_prediction():
     sim = simulate(loop, r, periods=periods, seed=0)
     # lifted state-space realization driven by the same lifted excitation
     oracle = lift_loop_state_space(plant, CTRL, F, input_filters=filt)
-    stacked = np.vstack([lift(sim.r_h, F).data,
-                         np.zeros((F, periods * n // F))])
+    stacked = np.vstack([lift(sim.r_h, F), np.zeros((F, periods * n // F))])
     resp = filter_signal(oracle, SignalRecord(stacked, F * TS, SLOW))
     m = n // F
     got_u = resp.data[:2 * F, -m:]
-    want_u = lift(sim.u_h.period(-1), F).data
+    want_u = lift(sim.u_h.period(-1), F)
     scale = max(1.0, np.abs(want_u).max())
     assert np.abs(got_u - want_u).max() < 1e-9 * scale
     got_yl = resp.data[2 * F, -m:]

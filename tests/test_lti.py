@@ -3,9 +3,9 @@ import pytest
 
 from mrfrf.errors import LtiError, PoleOnGridError
 from mrfrf.lti import (RationalTF, StateSpace, assert_stable,
-                       benchmark_controller, controller_preset, dft_grid,
-                       filter_signal, freq_response, system_from_dict,
-                       system_to_dict, to_state_space)
+                       benchmark_controller, dft_grid, filter_signal,
+                       freq_response, system_from_dict, system_to_dict,
+                       to_state_space)
 from mrfrf.multirate import SignalRecord
 from mrfrf.validate import random_stable_plant
 
@@ -30,10 +30,9 @@ def test_velocity_controller_dc_value(variant):
     # hand evaluation at omega = 0: numerator coefficients sum to 0.04,
     # denominator to 0.11, for either reading of the repeated numerator term
     ts = 1.0 / 50400.0
-    name = "hdd-vcm-q2" if variant == "q2" else "hdd-vcm-literal"
-    c = controller_preset(name, ts)
+    c = benchmark_controller(ts, variant)
     frf = freq_response(c, np.array([0.0]))
-    assert frf.values[0, 0, 0] == pytest.approx(0.04 / 0.11, rel=1e-12)
+    assert frf.values[0, 1, 0] == pytest.approx(0.04 / 0.11, rel=1e-12)
 
 
 def test_benchmark_controller_shape_and_variants():
@@ -42,8 +41,6 @@ def test_benchmark_controller_shape_and_variants():
     assert (c.n_outputs, c.n_inputs) == (2, 1)
     with pytest.raises(LtiError):
         benchmark_controller(ts, "bogus")
-    with pytest.raises(LtiError):
-        controller_preset("nope", ts)
 
 
 def test_denominator_must_be_monic():
@@ -93,7 +90,7 @@ def test_to_state_space_static_and_delay():
     assert np.allclose(frf.values[:, 0, 0], np.exp(-1j * grid))
 
 
-def test_pole_on_grid_error_names_bin():
+def test_pole_on_unit_circle_error_names_bin():
     ts = 1.0
     sys = RationalTF.siso([1.0], [1.0, -1.0], ts)  # pole at z = 1, bin 0
     with pytest.raises(PoleOnGridError, match="bin 0"):

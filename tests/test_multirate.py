@@ -58,7 +58,7 @@ def test_upsample_equals_zero_insert_plus_hold_filter():
 
 def test_lift_examples_and_roundtrip():
     lifted = lift(rec([[0, 1, 2, 3]]), 2)
-    assert np.array_equal(lifted.data, [[0, 2], [1, 3]])
+    assert np.array_equal(lifted, [[0, 2], [1, 3]])
     rng = np.random.default_rng(3)
     for F in (1, 2, 3, 4):
         x = rec(rng.standard_normal((2, F * 7)))
@@ -71,8 +71,7 @@ def test_lift_channel_ordering():
     # two channels, F=2: rows are (ch0@0, ch1@0, ch0@1, ch1@1)
     x = rec([[0, 1, 2, 3], [10, 11, 12, 13]])
     lifted = lift(x, 2)
-    assert np.array_equal(lifted.data,
-                          [[0, 2], [10, 12], [1, 3], [11, 13]])
+    assert np.array_equal(lifted, [[0, 2], [10, 12], [1, 3], [11, 13]])
 
 
 def test_lift_frf_constant_gain():

@@ -121,7 +121,7 @@ def test_multisine_orthogonal_regressor_rank():
         spec = MultisineSpec(2, n, 1e-4, (1.0, 1.0), seed=seed,
                              phase_scheme="orthogonal")
         r = multisine(spec)
-        R = np.fft.fft(lift(r, F).data, axis=1)
+        R = np.fft.fft(lift(r, F), axis=1)
         k0 = 30
         rows = []
         for r_off in range(-n_w, n_w + 1):
