@@ -11,7 +11,7 @@ from .errors import ConfigError
 from .ident import identify
 from .loopsim import (FAST_SAMPLE_TIME, MultirateLoopSpec, NoiseSpec,
                       benchmark_loop, simulate)
-from .lrm import LocalModelConfig
+from .lrm import LocalModelConfig, window_problem
 from .lti import dft_grid, freq_response
 from .spectral import MultisineSpec, multisine
 
@@ -40,6 +40,10 @@ class BenchmarkScenario:
             raise ConfigError("record length must divide by the factor")
         if not 1 <= self.ident_periods <= self.periods:
             raise ConfigError("ident_periods must lie in 1..periods")
+        m = self.excitation.n_samples // self.loop.factor
+        if problem := window_problem(self.lrm, self.loop.n_inputs,
+                                     self.loop.n_outputs, self.loop.factor, m):
+            raise ConfigError(f"scenario field 'lrm.half_window': {problem}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, RateError
-from .lrm import param_count, sweep_bins
+from .lrm import sweep_bins, window_problem
 from .lti import FrfMatrix, dft_grid
 from .multirate import FAST, SLOW, lift
 from .spectral import alias_energy_split, dft
@@ -27,7 +27,7 @@ class BinDiagnostics:
     """Per-slow-bin quality report for one identification run."""
 
     residual: np.ndarray          # LRM residual norm
-    fit_condition: np.ndarray     # LRM window condition number
+    fit_condition: np.ndarray     # LRM window condition (a fallback's trigger)
     sens_condition: np.ndarray    # condition of the lifted sensitivity inverse
     fallback: np.ndarray          # bool: polynomial fallback used
     failed: np.ndarray            # bool: bin withheld
@@ -172,17 +172,9 @@ def identify(u_h, r_h, y_l, factor, config):
                 f"{name} channel {ch} sample {n_bad} is not finite")
 
     nu, ny = u_h.n_channels, y_l.n_channels
-    n_params, n_data = param_count(config, nu, ny, F)
-    if n_params > n_data:
-        raise RateError(
-            f"configuration infeasible: {n_params} parameters against "
-            f"{n_data} data points per window"
-        )
     m = n_one(u_h) // F
-    if 2 * config.half_window + 1 > m:
-        raise RateError(
-            f"local-model window of half_window {config.half_window} is "
-            f"wider than the slow grid of M={m} bins")
+    if problem := window_problem(config, nu, ny, F, m):
+        raise RateError(problem)
     U, R, Y = _averaged_lifted_spectra(u_h, r_h, y_l, F)
     Z = np.vstack([U, Y])
 

@@ -69,6 +69,17 @@ class LocalModelConfig:
             raise LocalFitError("half_window must be at least 1")
 
 
+def window_problem(config, n_u, n_y, factor, m):
+    """Why config's local model cannot be fitted on m slow bins, or None."""
+    n_params, n_data = param_count(config, n_u, n_y, factor)
+    if n_params > n_data:
+        return (f"configuration infeasible: {n_params} parameters against "
+                f"{n_data} data points per window")
+    if 2 * config.half_window + 1 > m:
+        return (f"local-model window of half_window {config.half_window} is "
+                f"wider than the slow grid of M={m} bins")
+
+
 def param_count(config, n_u, n_y, factor):
     """(decision parameters, data points) for one local fit.
 
@@ -89,7 +100,7 @@ class LocalFitResult:
     response: np.ndarray      # (n_z, n_r) complex
     transient: np.ndarray     # (n_z,) complex
     residual: float
-    condition: float
+    condition: float          # of the rational fit, also when it fell back
     fallback: bool = False
     error: str | None = None
 
@@ -296,9 +307,9 @@ def _solve_blocks(Z, R, ks, config):
 
 
 def _with_fallback(Z, R, ks, fits, config):
-    """Replace the fits whose condition is above the threshold by polynomial
-    fits (degree_den 0), solved _BLOCK bins at a time.  Each replaced bin
-    warns, in the order of ks, at the caller of fit_local or sweep_bins."""
+    """Replace fits above the condition threshold by polynomial fits
+    (degree_den 0, keeping the trigger condition), _BLOCK bins at a time.
+    Each warns, in the order of ks, at the caller of fit_local/sweep_bins."""
     refit = [j for j, fit in enumerate(fits)
              if isinstance(fit, LocalFitResult) and config.degree_den > 0
              and fit.condition > config.condition_threshold]
@@ -313,7 +324,7 @@ def _with_fallback(Z, R, ks, fits, config):
         chunk = refit[start:start + _BLOCK]
         polys = _solve_or_split(Z, R, [ks[j] for j in chunk], cfg0)
         for j, fit in zip(chunk, polys):
-            fits[j] = replace(fit, fallback=True) \
+            fits[j] = replace(fit, fallback=True, condition=fits[j].condition) \
                 if isinstance(fit, LocalFitResult) else fit
     return fits
 

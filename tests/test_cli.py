@@ -220,6 +220,24 @@ def test_bad_scenario_field_is_config_error(tmp_path, capsys):
         assert "argument --seed" in capsys.readouterr().err
 
 
+def test_infeasible_local_model_exit_code_2_before_simulating(tmp_path,
+                                                             capsys):
+    from mrfrf.bench import build_benchmark_scenario
+
+    doc = mio.scenario_to_dict(build_benchmark_scenario("default"))
+    doc["excitation"]["n_samples"] = 240
+    doc["lrm"] = {"degree_num": 0, "degree_transient": 0, "degree_den": 0,
+                  "half_window": 100}
+    path = tmp_path / "scenario.json"
+    mio.write_json(path, doc)
+    for command in ("simulate", "identify"):
+        out = tmp_path / command
+        rc = main([command, "--scenario", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "lrm.half_window" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("dh_std", [0.0, 1e-9])
 def test_disturbance_channel_out_of_range_exit_code_2(tmp_path, capsys,
                                                       dh_std):

@@ -6,6 +6,7 @@ import pytest
 from mrfrf.errors import DataFormatError, RateError
 from mrfrf.ident import (_averaged_lifted_spectra, first_row_lifted_P,
                          identify, recover_P)
+from mrfrf.io import diagnostics_to_dict
 from mrfrf.loopsim import MultirateLoopSpec, simulate
 from mrfrf.lrm import LocalModelConfig, sweep_bins
 from mrfrf.lti import RationalTF, dft_grid, freq_response
@@ -339,4 +340,9 @@ def test_identify_warns_once_per_fallback_bin_mirrors_included():
     warned = sum("falling back to a polynomial model" in str(w.message)
                  for w in caught)
     assert warned == result.diagnostics.fallback.sum() == n // F
+    # each bin, mirrors included, reports the condition that triggered it
+    doc = diagnostics_to_dict(result)
+    assert doc["fallback_bins"] == list(range(n // F))
+    assert all(doc["fit_condition"][k] > cfg.condition_threshold
+               for k in doc["fallback_bins"])
 

@@ -195,6 +195,24 @@ def test_scenario_roundtrip_single_input_plant():
     assert back.loop.noise == sc.loop.noise
 
 
+@pytest.mark.parametrize("lrm,n_samples,reason", [
+    # a window wider than the slow grid of 120 bins
+    ({"degree_num": 0, "degree_transient": 0, "degree_den": 0,
+      "half_window": 100}, 240, "wider than the slow grid of M=120"),
+    # 115 parameters against 15 data points per window
+    ({"half_window": 1}, 3600, "115 parameters against 15 data points"),
+])
+def test_scenario_infeasible_local_model_names_half_window(lrm, n_samples,
+                                                           reason):
+    from mrfrf.errors import ConfigError
+
+    doc = mio.scenario_to_dict(build_benchmark_scenario("default"))
+    doc["lrm"] = lrm
+    doc["excitation"]["n_samples"] = n_samples
+    with pytest.raises(ConfigError, match=f"'lrm.half_window'.*{reason}"):
+        mio.scenario_from_dict(doc)
+
+
 def test_scenario_lrm_defaults_and_diagonal_denominator():
     doc = mio.scenario_to_dict(build_benchmark_scenario("default"))
     doc["lrm"] = {"denominator": "diagonal", "half_window": 20}

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mrfrf import _accel
 from mrfrf.bench import BENCH_RMS
@@ -52,10 +55,9 @@ def _reference_loop(Ap, Bp, Cp, Dp, Aw, Bw, Cw, Dw, Ac, Bc, Cc, Dc,
     return u, y, yl, -1
 
 
-def _scalar_args(a, r):
+def _scalar_args(a, r, F=2):
     """Kernel arguments for a first-order plant x+ = a x + u under zero
     feedback."""
-    F = 2
     n_fast = r.shape[0]
     eye1 = np.eye(1)
     zeros1 = np.zeros((1, 1))
@@ -126,6 +128,40 @@ def _wide_loop():
     return loop, multisine(MultisineSpec(4, 200, ts, (1.0,) * 4, seed=2))
 
 
+def _siso_loop(factor=2):
+    """A first-order SISO plant with feedthrough under a 1-state controller:
+    every matrix of the plant and controller and Minv is 1x1."""
+    ts = 1e-4
+    plant = RationalTF((((0.3, 0.2),),), (((1.0, -0.5),),), ts)
+    ctrl = RationalTF((((0.1, 0.04),),), (((1.0, -0.3),),), factor * ts)
+    loop = MultirateLoopSpec(plant, ctrl, factor, noise=NoiseSpec(
+        eh_std=0.01, el_std=0.01, dh_std=0.01, dh_channel=0))
+    return loop, multisine(MultisineSpec(1, 120, ts, (1.0,), seed=4))
+
+
+def _signed_zero_args():
+    """A single-input, single-output loop at F = 3 (2-state plant and
+    controller, so one-column B matrices and 1x1 D and Minv, and a static W)
+    with -0.0 entries, run on records that are mostly +0.0 and -0.0."""
+    rng = np.random.default_rng(31)
+    zero = np.array([[-0.0]])
+
+    def signed(shape, zeros=0.5):
+        M = rng.standard_normal(shape)
+        hit = rng.random(shape) < zeros
+        M[hit] = np.where(rng.random(hit.sum()) < 0.5, -0.0, 0.0)
+        return M
+
+    F, n_slow = 3, 40
+    return (0.4 * signed((2, 2)), signed((2, 1)), signed((1, 2)), zero,
+            np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
+            np.array([[1.0]]),
+            0.4 * signed((2, 2)), signed((2, 1)), signed((1, 2)), zero,
+            np.array([[1.0]]), F, signed((n_slow * F, 1), 0.9),
+            signed((n_slow * F, 1), 0.9), signed((n_slow * F, 1), 0.9),
+            signed((n_slow, 1), 0.9))
+
+
 def _simulated_args(monkeypatch, loop, r_h):
     """The arguments simulate hands to the loop kernel."""
     calls = []
@@ -142,6 +178,8 @@ def _simulated_args(monkeypatch, loop, r_h):
 
 _NAN_R = np.ones((40, 1))
 _NAN_R[10] = np.nan
+_NAN_MID_BLOCK_R = np.ones((60, 1))
+_NAN_MID_BLOCK_R[22] = np.nan   # fast step 1 of slow step 7 at F = 3
 
 _CASES = {
     "benchmark-f2-noise": lambda mp: _simulated_args(mp, *_benchmark(2)),
@@ -157,22 +195,94 @@ _CASES = {
     "wide-plant": lambda mp: _simulated_args(mp, *_wide_loop()),
     "zero-plant": lambda mp: _simulated_args(mp, *_benchmark(
         2, NoiseSpec(), plant=surrogate_plant("zero", FAST_SAMPLE_TIME))),
+    "siso-first-order": lambda mp: _simulated_args(mp, *_siso_loop()),
+    "signed-zeros": lambda mp: _signed_zero_args(),
+    "benchmark-f1": lambda mp: _simulated_args(mp, *_benchmark(1)),
+    "siso-f1": lambda mp: _simulated_args(mp, *_siso_loop(1)),
     "nan-guard": lambda mp: _scalar_args(0.5, _NAN_R),
+    "nan-mid-block-f3-guard": lambda mp: _scalar_args(0.5, _NAN_MID_BLOCK_R,
+                                                      F=3),
     "overflow-guard": lambda mp: _scalar_args(2.0, np.ones((4000, 1))),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_CASES))
-def test_hold_block_kernel_matches_per_step_recursion_bytes(case,
-                                                            monkeypatch):
-    args = _CASES[case](monkeypatch)
-    got = _accel.multirate_loop(*args)
-    want = _reference_loop(*args)
+def _kernel_and_reference(args):
+    """Run both recursions; assert the same status and record bytes, and
+    return the status."""
+    with np.errstate(all="ignore"):
+        got = _accel.multirate_loop(*args)
+        want = _reference_loop(*args)
     assert got[3] == want[3]
-    assert (want[3] >= 0) == case.endswith("guard")
     F = args[13]
     # after a tripped guard, only the slow steps up to it are written
     n_slow = want[3] + 1 if want[3] >= 0 else want[2].shape[0]
     for g, w, rows in zip(got[:3], want[:3], (n_slow * F, n_slow * F, n_slow)):
         assert g.shape == w.shape
         assert g[:rows].tobytes() == w[:rows].tobytes()
+    return want[3]
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_hold_block_kernel_matches_per_step_recursion_bytes(case,
+                                                            monkeypatch):
+    status = _kernel_and_reference(_CASES[case](monkeypatch))
+    assert (status >= 0) == case.endswith("guard")
+
+
+# entries: signed zeros, ordinary values and tiny ones whose products
+# underflow, so that zero products of either sign and finite sums all occur
+_ENTRY = st.sampled_from((-0.0, 0.0, 1.0, -0.5, 3e-170, -1e-170)) | st.floats(
+    -1.5, 1.5, allow_subnormal=False)
+
+
+@st.composite
+def small_loops(draw):
+    """Kernel arguments of a small multirate loop: F 1-4, an n_y x n_u plant
+    of 1-2 x 1-3 with 0-3 states, a controller of 0-2 states, input filters
+    with 0-2 states, and records of 1-6 slow steps plus a partial block."""
+    F = draw(st.integers(1, 4))
+    n_y, n_u = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    n_x, n_c, n_w = (draw(st.integers(0, 3)), draw(st.integers(0, 2)),
+                     draw(st.integers(0, 2)))
+    n_slow = draw(st.integers(1, 6))
+    n_fast = n_slow * F + draw(st.integers(0, F - 1))
+
+    def mat(rows, cols, scale=1.0):
+        return scale * draw(hnp.arrays(np.float64, (rows, cols),
+                                       elements=_ENTRY))
+
+    return (mat(n_x, n_x, 0.5), mat(n_x, n_u), mat(n_y, n_x), mat(n_y, n_u),
+            mat(n_w, n_w, 0.5), mat(n_w, n_u), mat(n_u, n_w), mat(n_u, n_u),
+            mat(n_c, n_c, 0.5), mat(n_c, n_y), mat(n_u, n_c), mat(n_u, n_y),
+            mat(n_y, n_y), F, mat(n_fast, n_u), mat(n_fast, n_y),
+            mat(n_fast, n_u), mat(n_slow, n_y))
+
+
+@st.composite
+def products(draw):
+    """A matrix of 0-4 x 0-4 and a vector to multiply."""
+    M = draw(hnp.arrays(np.float64, (draw(st.integers(0, 4)),
+                                     draw(st.integers(0, 4))),
+                        elements=_ENTRY))
+    return M, draw(hnp.arrays(np.float64, M.shape[1], elements=_ENTRY))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(Mv=products())
+# one column: there ndarray.dot returns -0.0 for a zero (1x1) or underflowed
+# product, where matmul returns +0.0
+@example(Mv=(np.array([[2.0]]), np.array([-0.0])))
+@example(Mv=(np.array([[3e-170], [1.0]]), np.array([-1e-170])))
+def test_bound_product_has_the_bits_of_matmul(Mv):
+    M, v = Mv
+    out = np.full(M.shape[0], np.nan)
+    product = _accel._product(M)
+    assert product(v).tobytes() == (M @ v).tobytes()
+    assert product(v, out) is out
+    assert out.tobytes() == (M @ v).tobytes()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(args=small_loops())
+def test_hold_block_kernel_matches_reference_on_small_loops(args):
+    _kernel_and_reference(args)

@@ -293,8 +293,11 @@ def test_fallback_bins_warn_in_order_and_equal_polynomial_fits():
     poly = replace(cfg, degree_den=0)
     for r in out:
         if r.fallback:
+            # the polynomial fit, carrying the condition that triggered it
+            trigger = conds[r.center_bin]
+            assert trigger > split.condition_threshold
             assert same_fit(r, replace(fit_local(Z, R, r.center_bin, poly),
-                                       fallback=True))
+                                       fallback=True, condition=trigger))
         else:
             assert same_fit(r, fit_local(Z, R, r.center_bin, cfg))
 
