@@ -26,10 +26,6 @@ FORMAT_VERSION = 1
 _VERSION_LINE = f"# format_version={FORMAT_VERSION}"
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 _CHUNK_ROWS = 4096
 
 
@@ -103,9 +99,26 @@ def _parse_rows(path, lines, body, n_channels):
     return data
 
 
+def _one_period(text, p):
+    """text through the first of p periods if all after the header line (it
+    starts with ch0) is one period's text repeated p times, else None."""
+    start = text.find("\n", text.find("ch0")) + 1
+    kept = [x for x in text[:start].splitlines() if x.strip() and x[0] != "#"]
+    n, extra = divmod(len(text) - start, p)
+    chunk = text[start:start + n]
+    if len(kept) == 1 and n and not extra and chunk[-1] == "\n" and all(
+            text.startswith(chunk, start + k * n) for k in range(1, p)):
+        return text[:start + n]
+
+
 def read_signal_csv(path, sample_time, rate_tag=FAST, n_periods=None):
+    """The record in a signal CSV; a bad value is a DataFormatError naming
+    its file row.  A body that is n_periods repeats of one period's text, as
+    write_signal_csv writes a periodic record, is parsed once and tiled."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
+    one = _one_period(text, n_periods) if (n_periods or 0) > 1 else None
+    text, repeats = (text, 1) if one is None else (one, n_periods)
     # loadtxt strips U+001F around a field as whitespace; float() rejects it
     fast = "\x1f" not in text
     lines = text.splitlines()
@@ -129,6 +142,7 @@ def read_signal_csv(path, sample_time, rate_tag=FAST, n_periods=None):
         line_no = body[int(np.argmin(finite))] + 1
         raise DataFormatError(f"{path}: row {line_no} is not finite",
                               row=line_no)
+    data = np.tile(data, repeats)
     if n_periods is not None and n_periods >= 1 and data.shape[1] % n_periods:
         raise DataFormatError(f"{path}: {data.shape[1]} samples do not divide "
                               f"evenly into n_periods={n_periods} periods")
@@ -137,26 +151,30 @@ def read_signal_csv(path, sample_time, rate_tag=FAST, n_periods=None):
 
 def write_frf_entry_csv(path, frf, i, j, flags=None):
     """Columns: k, freq_hz, re, im, flag for one plant entry."""
+    n = frf.n_bins
+    flags = np.zeros(n, bool) if flags is None else np.asarray(flags, bool)
     vals = frf.values[:, i, j]
-    freqs = frf.omega / (2.0 * np.pi)
-    flags = np.zeros(frf.n_bins, dtype=bool) if flags is None else flags
-    lines = [_VERSION_LINE, "k,freq_hz,re,im,flag"]
-    for k in range(frf.n_bins):
-        v = vals[k]
-        re, im = (0.0, 0.0) if flags[k] and not np.isfinite(v) else (v.real, v.imag)
-        lines.append(f"{k},{_fmt(freqs[k])},{_fmt(re)},{_fmt(im)},"
-                     f"{int(bool(flags[k]))}")
+    vals = np.where(flags & ~np.isfinite(vals), 0.0, vals)
+    fields = zip(range(n), (frf.omega / (2.0 * np.pi)).tolist(),
+                 vals.real.tolist(), vals.imag.tolist(), flags.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(f"{_VERSION_LINE}\nk,freq_hz,re,im,flag\n")
+        f.write("%d,%r,%r,%r,%d\n" * n % tuple(x for row in fields
+                                                for x in row))
 
 
-def read_frf_entry_csv(path):
+def read_frf_entry_csv(path, freq_hz=None):
+    """(k, values, flags) of one plant entry; given the grid freq_hz, one row
+    per bin, each row's freq_hz within 1e-12 relative (bin 0 exactly 0)."""
     with open(path, "r", encoding="utf-8") as f:
         raw = f.read().splitlines()
     rows = [(i + 1, ln) for i, ln in enumerate(raw)
             if ln.strip() and not ln.startswith("#")]
     if not rows or rows[0][1] != "k,freq_hz,re,im,flag":
         raise DataFormatError(f"{path}: missing FRF header")
+    if freq_hz is not None and len(rows) - 1 != len(freq_hz):
+        raise DataFormatError(f"{path}: {len(rows) - 1} rows, expected "
+                              f"{len(freq_hz)}")
     ks, vals, flags = [], [], []
     for index, (line_no, line) in enumerate(rows[1:]):
         parts = line.split(",")
@@ -165,10 +183,15 @@ def read_frf_entry_csv(path):
                                   row=line_no)
         try:
             k, flag = int(parts[0]), int(parts[4])
-            _, re, im = (float(p) for p in parts[1:4])
+            freq, re, im = (float(p) for p in parts[1:4])
         except ValueError:
             raise DataFormatError(f"{path}: row {line_no} is not numeric",
                                   row=line_no) from None
+        if freq_hz is not None and \
+                not abs(freq - freq_hz[index]) <= 1e-12 * abs(freq_hz[index]):
+            raise DataFormatError(f"{path}: row {line_no} has freq_hz "
+                                  f"{freq!r}, expected {freq_hz[index]!r}",
+                                  row=line_no)
         if k != index:
             raise DataFormatError(f"{path}: row {line_no} has k={k}, "
                                   f"expected {index}", row=line_no)
@@ -220,10 +243,17 @@ def diagnostics_to_dict(result):
 #  "ts": 9.920634920634922e-06, "periods": 3, "ident_periods": 2, "seed": 1234}
 #
 # Absent "lrm" keys take LocalModelConfig's defaults; "denominator" may only
-# be "diagonal", the one local model there is.  A preset reference
-# {"preset": name, "seed": 1234} takes no other key.
+# be "diagonal", the one local model there is.  No part of a document takes
+# a key that its reader does not name.
 
 _LRM_KEYS = ("degree_num", "degree_transient", "degree_den", "half_window")
+
+
+def _known_keys(doc, what, keys):
+    """A ConfigError naming the keys of doc not among the names in keys."""
+    extra = sorted(set(doc) - set(keys.split()))
+    if extra:
+        raise ConfigError(f"{what} takes only {keys.split()}, not {extra}")
 
 
 def _field(doc, key, convert, default, section=""):
@@ -266,12 +296,13 @@ def _spec(section, build, *args, **kwargs):
                           f"{e}") from None
 
 
-def _section(doc, key):
-    """doc[key], which must be a JSON object; absent means empty."""
+def _section(doc, key, keys):
+    """doc[key], a JSON object of the given keys; absent means empty."""
     value = doc.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"scenario section {key!r} must be a JSON object, "
                           f"not {value!r}")
+    _known_keys(value, f"scenario section {key!r}", keys)
     return value
 
 
@@ -281,8 +312,10 @@ def _system_from_doc(doc, ts, role):
     if isinstance(doc, dict) and "preset" in doc:
         name = doc["preset"]
         if role == "plant":
+            _known_keys(doc, "plant preset reference", "preset")
             return _spec("plant", surrogate_plant, name, ts)
         if role == "controller":
+            _known_keys(doc, "controller preset reference", "preset variant")
             if name != "benchmark":
                 raise ConfigError(f"unknown controller preset {name!r}; "
                                   f"available: ['benchmark']")
@@ -302,12 +335,11 @@ def scenario_from_dict(doc):
         raise ConfigError(f"scenario document must be a JSON object, "
                           f"not {doc!r}")
     if "preset" in doc and "plant" not in doc:
-        extra = sorted(set(doc) - {"preset", "seed"})
-        if extra:
-            raise ConfigError(f"a scenario preset reference takes only "
-                              f"'preset' and 'seed', not {extra}")
+        _known_keys(doc, "scenario preset reference", "preset seed")
         return build_benchmark_scenario(
             doc["preset"], seed=_field(doc, "seed", non_negative_int, 1234))
+    _known_keys(doc, "scenario document", "format_version ts F plant controller"
+                " filters noise excitation lrm periods ident_periods seed")
     try:
         ts = _field(doc, "ts", float, FAST_SAMPLE_TIME)
         factor = _field(doc, "F", int, BENCH_FACTOR)
@@ -317,7 +349,7 @@ def scenario_from_dict(doc):
     except KeyError as e:
         raise ConfigError(f"scenario missing field {e}") from None
     filters = _system_from_doc(doc.get("filters"), ts, "filters")
-    nd = _section(doc, "noise")
+    nd = _section(doc, "noise", "eh_std H el_std dh_std dh_channel")
     shaping = _system_from_doc(nd.get("H"), ts, "noise shaping")
     noise = _spec("noise", NoiseSpec,
                   eh_std=_field(nd, "eh_std", float, 0.0, "noise."),
@@ -332,7 +364,7 @@ def scenario_from_dict(doc):
         raise ConfigError(f"scenario field 'noise.dh_channel' names input "
                           f"{noise.dh_channel} of a plant with "
                           f"{loop.n_inputs} inputs")
-    ed = _section(doc, "excitation")
+    ed = _section(doc, "excitation", "rms seed n_samples scheme excite_dc")
     seed = _field(doc, "seed", non_negative_int, 1234)
     excitation = _spec(
         "excitation", MultisineSpec,
@@ -345,7 +377,7 @@ def scenario_from_dict(doc):
         phase_scheme=ed.get("scheme", "random"),
         excite_dc=_field(ed, "excite_dc", _json_bool, False, "excitation."),
     )
-    ld = _section(doc, "lrm")
+    ld = _section(doc, "lrm", " ".join(_LRM_KEYS) + " denominator")
     _field(ld, "denominator", _diagonal_only, "diagonal", "lrm.")
     lrm = _spec("lrm", LocalModelConfig, **{
         key: _field(ld, key, int, getattr(LocalModelConfig, key), "lrm.")

@@ -19,11 +19,12 @@ so the condition number measures collinearity, not the unit disparity
 between excitation, transient and output columns.  Per bin, one Householder
 QR of [A1 | A2_0 z_0 | A2_1 z_1 | ...] gives R11, the triangular factor of
 A1, and above it Q1^H A2_i and Q1^H z_i; a second QR of each row's block
-below R11 gives R22_i and the projected data (Bjorck, Numerical Methods for
-Least Squares Problems, SIAM 1996).  The factor
-T_i = [[R11, Q1^H A2_i], [0, R22_i]] has the singular values of the scaled
-regressor: its rank counts those above max(W, n) eps s_max (W window rows,
-n columns), and the condition is s_max over the smallest counted one.
+below R11 gives R22_i, the projected data and, in one more row, a full-rank
+row's residual norm (Bjorck, Numerical Methods for Least Squares Problems,
+SIAM 1996), so the regressors are built once, never multiplied out.  The
+factor T_i = [[R11, Q1^H A2_i], [0, R22_i]] has the singular values of the
+scaled regressor: its rank counts those above max(W, n) eps s_max (W window
+rows, n columns), and the condition is s_max over the smallest counted one.
 Full-rank rows are solved by back-substitution.  A rank-deficient row takes
 the minimum-norm solution from an SVD of T_i; in-model data makes the
 denominator columns dependent while the center estimates stay unique, so
@@ -189,9 +190,7 @@ def _solve(Z, R, ks, config):
         Rw, Zw = Rw[good], Zw[good]
     B = good.size
 
-    # one QR per bin of [A1 | A2_0 z_0 | A2_1 z_1 | ...], columns scaled;
-    # A1 and A2 are built again for the residual, so that they are not held
-    # through the factorizations
+    # one QR per bin of [A1 | A2_0 z_0 | A2_1 z_1 | ...], columns scaled
     A1, A2 = _regressors(Rw, Zw, config)
     s1, s2 = _unit_scale(A1), _unit_scale(A2)
     M = np.empty((B, W, n1 + n_z * (rd + 1)), dtype=complex)
@@ -206,9 +205,12 @@ def _solve(Z, R, ks, config):
     R11 = Rf[:, :n1, :n1]
     top = Rf[:, :n1, n1:].reshape(B, n1, n_z, rd + 1).swapaxes(1, 2)
     # each row's columns projected off A1, reduced by a second QR to R22_i
-    # (its first rd rows; with rd = 0 nothing is left)
+    # (its first rd rows; with rd = 0 nothing is left) over the residual of a
+    # full-rank row (row rd, absent when the window is exactly n rows)
     trail = Rf[:, n1:, n1:].reshape(B, -1, n_z, rd + 1).swapaxes(1, 2)
-    R2 = np.linalg.qr(trail, mode="r")[..., :rd, :]
+    R2 = np.linalg.qr(trail, mode="r")
+    res_sq = np.sum(np.abs(R2[..., rd:, rd]) ** 2, axis=-1)
+    R2 = R2[..., :rd, :]
     s = np.linalg.svd(_factor(R11[:, None], top[..., :rd], R2[..., :rd]),
                       compute_uv=False)
     tol = max(W, n) * np.finfo(float).eps * s[..., :1]
@@ -226,8 +228,8 @@ def _solve(Z, R, ks, config):
     rhs = top[..., rd] - (top[..., :rd] @ theta[..., n1:, None])[..., 0]
     theta[live, :, :n1] = np.linalg.solve(
         R11[live], rhs[live].swapaxes(1, 2)).swapaxes(1, 2)
-    # rank-deficient rows: minimum-norm solution, accepted only when the null
-    # space leaves the center estimates alone
+    # rank-deficient rows: the minimum-norm solution, whose residual adds c off
+    # T_i's range, is accepted only if the null space spares the estimates
     watched = list(range(n_r)) + [n_r * (rn + 1)]
     leak = np.zeros(rank.shape)
     for b, i in np.argwhere(~full):
@@ -237,13 +239,11 @@ def _solve(Z, R, ks, config):
         c = np.concatenate([top[b, i, :, rd], R2[b, i, :, rd]])
         theta[b, i] = vh[:r].conj().T @ ((u[:, :r].conj().T @ c) / sv[:r])
         leak[b, i] = np.abs(vh[r:][:, watched]).max() if r else 1.0
+        res_sq[b, i] += np.linalg.norm(u[:, r:].conj().T @ c) ** 2
 
     theta[..., :n1] /= s1
     theta[..., n1:] /= s2[:, :, 0]
-    A1, A2 = _regressors(Rw, Zw, config)
-    fitted = (A1 @ theta[..., :n1].swapaxes(1, 2)).swapaxes(1, 2) \
-        + (A2 @ theta[..., n1:, None])[..., 0]
-    res = np.sqrt(np.sum(np.sum(np.abs(fitted - Zw) ** 2, axis=-1), axis=-1))
+    res = np.sqrt(res_sq.sum(axis=-1))
     leaky = (rank < n) & (leak > _NULL_LEAK_TOL)
     for b, j in enumerate(good):
         k = ks[j]

@@ -122,6 +122,27 @@ def test_report_rejects_malformed_frf_row(scenario_path, sim_dir, tmp_path,
     assert "row 101" in capsys.readouterr().err
 
 
+def test_report_rejects_frf_of_another_sample_time(scenario_path, sim_dir,
+                                                   tmp_path, capsys):
+    # the FRF files' bins are those of the default scenario's ts; reported
+    # under another ts, bin 1 is the first whose freq_hz differs
+    from mrfrf.bench import build_benchmark_scenario
+    from mrfrf.loopsim import FAST_SAMPLE_TIME
+
+    if not (sim_dir / "frf_y0_u0.csv").exists():
+        assert main(["identify", "--scenario", scenario_path,
+                     "--out", str(sim_dir)]) == 0
+    doc = mio.scenario_to_dict(build_benchmark_scenario("default"))
+    doc.update(ts=1.5 * FAST_SAMPLE_TIME, plant={"preset": "hdd-dual-stage"},
+               controller={"preset": "benchmark", "variant": "q2"})
+    path = tmp_path / "other-ts.json"
+    mio.write_json(path, doc)
+    rc = main(["report", "--scenario", str(path), "--out", str(sim_dir)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "frf_y0_u0.csv: row 4 has freq_hz " in err
+
+
 def test_identify_rejects_corrupt_csv(scenario_path, sim_dir, tmp_path, capsys):
     import shutil
 
@@ -198,6 +219,9 @@ def test_bad_scenario_field_is_config_error(tmp_path, capsys):
              "n_samples"),
             ({**base, "excitation": {**base["excitation"],
                                      "rms": [-3.6e-9, 8e-8]}}, "rms"),
+            ({**base, "noise": {**base["noise"], "eh_sdt": 1e-9}},
+             "['eh_sdt']"),
+            ({**base, "periodz": 3}, "['periodz']"),
             ({**base, "noise": {**base["noise"], "eh_std": -1e-9}}, "eh_std"),
             ({**base, "noise": {**base["noise"], "eh_std": float("nan")}},
              "eh_std"),

@@ -1,14 +1,16 @@
-"""Properties of the signal CSV codec: exact round trips, the bytes of a
-row-by-row formatter, and the same verdict from the fast parse and the
-per-row parse."""
+"""Properties of the signal and FRF CSV codecs: exact round trips, the bytes
+of a row-by-row formatter, and the same verdict from the fast parse, the
+parse of one repeated period and the per-row parse."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mrfrf import io as mio
 from mrfrf.errors import DataFormatError
+from mrfrf.lti import FrfMatrix, dft_grid
 from mrfrf.multirate import SignalRecord
 
 CODEC = settings(max_examples=60, deadline=None, database=None,
@@ -67,6 +69,50 @@ def test_writer_bytes_match_row_by_row_formatter(tmp_path, monkeypatch, rec):
     path = tmp_path / "rec.csv"
     mio.write_signal_csv(path, rec)
     assert path.read_bytes() == _row_by_row(rec).encode()
+
+
+def _per_row(*args, **kwargs):
+    """read_signal_csv with the per-row parse of every period of the file."""
+    fast, one = mio._parse_fast, mio._one_period
+    mio._parse_fast = mio._one_period = lambda *args: None
+    try:
+        return mio.read_signal_csv(*args, **kwargs)
+    finally:
+        mio._parse_fast, mio._one_period = fast, one
+
+
+@CODEC
+@given(rec=records())
+def test_repeated_period_parse_is_the_per_row_parse(tmp_path, rec):
+    # one period is parsed exactly when the writer repeated one period
+    path = tmp_path / "rec.csv"
+    mio.write_signal_csv(path, rec)
+    p = rec.n_periods
+    if p > 1:
+        assert (mio._one_period(path.read_text(), p) is not None) \
+            == (mio._period_repeats(rec) == p)
+    back = mio.read_signal_csv(path, 1e-4, n_periods=p)
+    assert back.data.tobytes() == _per_row(path, 1e-4, n_periods=p).data.tobytes()
+    assert back.data.tobytes() == rec.data.tobytes()
+
+
+@pytest.mark.parametrize("value,message", [("1.0x", "not numeric"),
+                                           ("-inf", "not finite")])
+def test_bad_value_in_the_last_period_names_its_row(tmp_path, value,
+                                                    message):
+    rec = SignalRecord(np.tile([[1.0, -0.0, 2.5], [3.0, 4.0, 0.0]], 4),
+                       1e-4, n_periods=4)
+    path = tmp_path / "rec.csv"
+    mio.write_signal_csv(path, rec)
+    lines = path.read_text().splitlines()
+    # sample 11 of 12, file row 13, its text as long as before ("-0.0,4.0")
+    lines[-2] = "7.0," + value
+    path.write_text("\n".join(lines) + "\n")
+    for read in (mio.read_signal_csv, _per_row):
+        with pytest.raises(DataFormatError,
+                           match=f"row 13 is {message}") as exc:
+            read(path, 1e-4, n_periods=4)
+        assert exc.value.row == 13
 
 
 def test_periods_equal_but_for_a_zero_sign_are_not_repeated(tmp_path):
@@ -147,3 +193,32 @@ def test_underscore_digits_read_as_float_does(tmp_path):
     path.write_text("ch0,ch1\n1_0,2.0\n# c\n\n3.5,-0.0\n")
     back = mio.read_signal_csv(path, 1e-4)
     assert back.data.tobytes() == np.array([[10.0, 3.5], [2.0, -0.0]]).tobytes()
+
+
+def _frf_row_by_row(frf, i, j, flags):
+    """The FRF entry CSV text, one row at a time: a flagged non-finite
+    value is written as 0.0, 0.0."""
+    lines = [f"# format_version={mio.FORMAT_VERSION}", "k,freq_hz,re,im,flag"]
+    for k in range(frf.n_bins):
+        v = frf.values[k, i, j]
+        blank = flags[k] and not np.isfinite(v)
+        re, im = (0.0, 0.0) if blank else (v.real, v.imag)
+        lines.append(f"{k},{float(frf.omega[k] / (2.0 * np.pi))!r},"
+                     f"{float(re)!r},{float(im)!r},{int(flags[k])}")
+    return "\n".join(lines) + "\n"
+
+
+@CODEC
+@given(data=st.data())
+def test_frf_writer_bytes_match_row_by_row_formatter(tmp_path, data):
+    n = data.draw(st.integers(0, 12))
+    parts = FLOATS | st.sampled_from([np.nan, np.inf, -np.inf])
+    values = np.empty((n, 1, 2), dtype=complex)   # keeps signed zeros
+    values.real, values.imag = (
+        data.draw(hnp.arrays(np.float64, (n, 1, 2), elements=parts))
+        for _ in range(2))
+    flags = data.draw(hnp.arrays(np.bool_, n))
+    frf = FrfMatrix(values, dft_grid(n, 1e-4), 1e-4)
+    path = tmp_path / "frf.csv"
+    mio.write_frf_entry_csv(path, frf, 0, 1, flags=flags)
+    assert path.read_bytes() == _frf_row_by_row(frf, 0, 1, flags).encode()

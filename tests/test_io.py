@@ -150,6 +150,19 @@ def test_scenario_roundtrip(tmp_path):
     ("noise", "el_std", -1.0, "section 'noise'.*el_std"),
     ("noise", "dh_std", float("inf"), "section 'noise'.*dh_std"),
     ("plant", "den", [[2.0], [1.0]], "plant system document.*exactly 1"),
+    # an unknown key, wherever it is, is named
+    ("noise", "eh_sdt", 1e-9, r"^scenario section 'noise' takes only "
+                              r"\['eh_std', .*\], not \['eh_sdt'\]$"),
+    ("lrm", "condition_threshold", 1.0,
+     r"section 'lrm' .*, not \['condition_threshold'\]"),
+    ("lrm", "halfwindow", 20, r"section 'lrm' .*, not \['halfwindow'\]"),
+    ("excitation", "n_sample", 1800,
+     r"section 'excitation' .*, not \['n_sample'\]"),
+    ("periodz", None, 3, r"^scenario document .*, not \['periodz'\]$"),
+    ("plant", None, {"preset": "hdd-dual-stage", "noise": 1},
+     r"^plant preset reference takes only \['preset'\], not \['noise'\]$"),
+    ("controller", None, {"preset": "benchmark", "variant": "q2", "gain": 2},
+     r"^controller preset reference .*, not \['gain'\]$"),
 ])
 def test_scenario_bad_field_names_it(section, key, value, name):
     from mrfrf.errors import ConfigError

@@ -157,7 +157,10 @@ def test_feasibility_check_agrees_with_fitter(n_u, n_y, F):
             break
         with pytest.raises(LocalFitError, match="parameters"):
             fit_local(Z, R, 20, cfg)
-    assert np.isfinite(fit_local(Z, R, 20, cfg).response).all()
+    fit = fit_local(Z, R, 20, cfg)
+    assert np.isfinite(fit.response).all()
+    if params == data:   # one row per parameter: every row fitted exactly
+        assert fit.residual == 0.0
 
 
 def test_sweep_bins_order_purity_and_failures():
@@ -221,6 +224,39 @@ def test_matches_lstsq_at_benchmark_shapes(n_r, n_z):
         conds.append(np.linalg.cond(A / np.linalg.norm(A, axis=0)))
     assert abs(fit.residual - np.sqrt(res_sq)) < 1e-12 * np.sqrt(res_sq)
     assert abs(fit.condition - max(conds)) < 1e-10 * max(conds)
+
+
+def lstsq_residual(Z, R, k0, cfg):
+    """The residual norm over every output row of np.linalg.lstsq's
+    (minimum-norm) solutions of the dense per-row problems."""
+    res_sq = 0.0
+    for i in range(Z.shape[0]):
+        A, b = local_regressor(Z, R, k0, cfg, i)
+        theta, *_ = np.linalg.lstsq(A, b, rcond=None)
+        res_sq += np.linalg.norm(A @ theta - b) ** 2
+    return np.sqrt(res_sq)
+
+
+@pytest.mark.parametrize("case", ["rank-deficient row", "degree_den 0"])
+def test_residual_matches_lstsq(case):
+    rng = np.random.default_rng(27)
+    m, n_r, n_z, k0 = 160, 4, 5, 50
+    cfg = LocalModelConfig()
+    R = random_spectra(rng, n_r, m)
+    Z = random_spectra(rng, n_z, m)
+    if case == "rank-deficient row":
+        # row 2 is nonzero only at the center, where rho = 0: its
+        # denominator columns vanish, a null space off the estimates
+        Z[2] = 0.0
+        Z[2, k0] = 1.0 - 2.0j
+        A, _ = local_regressor(Z, R, k0, cfg, 2)
+        assert np.linalg.matrix_rank(A) == A.shape[1] - cfg.degree_den
+    else:
+        cfg = replace(cfg, degree_den=0)
+    fit = fit_local(Z, R, k0, cfg)
+    expected = lstsq_residual(Z, R, k0, cfg)
+    assert expected > 0.1
+    assert abs(fit.residual - expected) < 1e-12 * expected
 
 
 def test_rank_deficient_in_model_data_keeps_exact_estimates():
