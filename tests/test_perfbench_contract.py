@@ -24,12 +24,8 @@ def _perfbench_module(name):
     return module
 
 
-def _spans_module():
-    return _perfbench_module("spans")
-
-
 def test_every_trace_point_resolves_to_a_callable():
-    points = _spans_module().TRACE_POINTS
+    points = _perfbench_module("spans").TRACE_POINTS
     assert points
     for module, attr, _name, _count in points:
         assert callable(getattr(importlib.import_module(module), attr)), \
