@@ -9,6 +9,7 @@ its traceback.  All outputs are deterministic for a fixed scenario and seed.
 """
 
 import argparse
+import json
 import os
 import sys
 
@@ -101,19 +102,54 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
+def _check_run_meta(data_dir, scenario):
+    """A DataFormatError where the run_meta.json in data_dir, if any, names
+    another factor, periods or fast sample time than the scenario."""
+    path = os.path.join(data_dir, "run_meta.json")
+    if not os.path.exists(path):
+        return
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            meta = json.load(f)
+    except json.JSONDecodeError as e:
+        raise DataFormatError(f"{path}: not valid JSON: {e}") from None
+    ts = scenario.loop.plant.sample_time
+    for field, want in (("factor", scenario.loop.factor),
+                        ("periods", scenario.periods),
+                        ("fast_sample_time", ts)):
+        got = meta.get(field) if isinstance(meta, dict) else None
+        close = field == "fast_sample_time" and isinstance(
+            got, (int, float)) and abs(got - ts) <= 1e-12 * ts
+        if got != want and not close:
+            raise DataFormatError(f"{path}: {field} is {got!r}, the scenario "
+                                  f"has {want!r}")
+
+
+def _read_record(path, scenario, rate_tag, n_expected, sample_time):
+    """The signal CSV at path, which must hold n_expected samples: the
+    scenario's periods of its excitation period."""
+    rec = mio.read_signal_csv(path, sample_time, rate_tag,
+                              n_periods=scenario.periods)
+    if rec.n_samples != n_expected:
+        raise DataFormatError(
+            f"{path}: samples is {rec.n_samples}, the scenario has "
+            f"{n_expected} (periods {scenario.periods} of "
+            f"{n_expected // scenario.periods} samples)")
+    return rec
+
+
 def cmd_identify(args):
     scenario = _load(args.scenario, args.seed)
     data_dir = args.data or args.out
     os.makedirs(args.out, exist_ok=True)
+    _check_run_meta(data_dir, scenario)
     ts = scenario.loop.plant.sample_time
     F = scenario.loop.factor
-    p = scenario.periods
-    u_h = mio.read_signal_csv(os.path.join(data_dir, "u_h.csv"), ts, FAST,
-                              n_periods=p)
-    r_h = mio.read_signal_csv(os.path.join(data_dir, "r_h.csv"), ts, FAST,
-                              n_periods=p)
-    y_l = mio.read_signal_csv(os.path.join(data_dir, "y_l.csv"), ts * F, SLOW,
-                              n_periods=p)
+    n = scenario.periods * scenario.excitation.n_samples
+    u_h, r_h = (_read_record(os.path.join(data_dir, f"{name}.csv"), scenario,
+                             FAST, n, ts) for name in ("u_h", "r_h"))
+    y_l = _read_record(os.path.join(data_dir, "y_l.csv"), scenario, SLOW,
+                       n // F, ts * F)
     pi = scenario.ident_periods
     result = identify(u_h.last_periods(pi), r_h.last_periods(pi),
                       y_l.last_periods(pi), F, scenario.lrm)

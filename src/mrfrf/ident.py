@@ -27,7 +27,9 @@ class BinDiagnostics:
     """Per-slow-bin quality report for one identification run."""
 
     residual: np.ndarray          # LRM residual norm
-    fit_condition: np.ndarray     # LRM window condition (a fallback's trigger)
+    fit_condition: np.ndarray     # LRM window condition: an upper bound within
+                                  # a factor n on a certified fit, exact above
+                                  # the bound and on a fallback (its trigger)
     sens_condition: np.ndarray    # condition of the lifted sensitivity inverse
     fallback: np.ndarray          # bool: polynomial fallback used
     failed: np.ndarray            # bool: bin withheld

@@ -24,7 +24,16 @@ row's residual norm (Bjorck, Numerical Methods for Least Squares Problems,
 SIAM 1996), so the regressors are built once, never multiplied out.  The
 factor T_i = [[R11, Q1^H A2_i], [0, R22_i]] has the singular values of the
 scaled regressor: its rank counts those above max(W, n) eps s_max (W window
-rows, n columns), and the condition is s_max over the smallest counted one.
+rows, n columns), and its condition cond_2 is s_max over the smallest
+counted one.  Both only decide which side of a threshold cond_2 is on, so a
+cheap bound settles them first: cond_F = ||T_i||_F ||T_i^-1||_F, from the
+block inverse of T_i, satisfies cond_2 <= cond_F <= n cond_2 (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 6).
+A row with cond_F at most L = min(condition_threshold, 1/(max(W, n) eps)) / 2
+is full rank and no fallback, and reports cond_F; only the other rows take
+an SVD of T_i for their rank and exact cond_2.  The reported condition is
+thus an upper bound within a factor n at or below L and exact above it, and
+every rank, fallback and estimate is the one the SVD alone would give.
 Full-rank rows are solved by back-substitution.  A rank-deficient row takes
 the minimum-norm solution from an SVD of T_i; in-model data makes the
 denominator columns dependent while the center estimates stay unique, so
@@ -101,7 +110,8 @@ class LocalFitResult:
     response: np.ndarray      # (n_z, n_r) complex
     transient: np.ndarray     # (n_z,) complex
     residual: float
-    condition: float          # of the rational fit, also when it fell back
+    condition: float          # of the rational fit, also when it fell back:
+                              # cond_F <= L, else the exact cond_2 (module doc)
     fallback: bool = False
     error: str | None = None
 
@@ -159,6 +169,32 @@ def _factor(R11, top, R22):
     return T
 
 
+def _sq_norm(a):
+    """Squared Frobenius norms of the matrices in the stack a."""
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return np.vecdot(flat, flat).real
+
+
+def _frobenius_condition(R11, top, R22):
+    """cond_F = ||T_i||_F ||T_i^-1||_F of each row's factor (B, n_z).
+
+    The columns of T_i have unit norm, so ||T_i||_F^2 = n, and T_i^-1 is
+    [[R11^-1, -R11^-1 top_i R22_i^-1], [0, R22_i^-1]]: one inverse per bin
+    and one per row.  cond_2 <= cond_F <= n cond_2.  An exactly singular
+    triangle in the block leaves every row uncertified (inf).
+    """
+    n = R11.shape[-1] + R22.shape[-1]
+    try:
+        inv11 = np.linalg.inv(R11)
+        inv22 = np.linalg.inv(R22)
+    except np.linalg.LinAlgError:
+        return np.full(top.shape[:2], np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = (inv11[:, None] @ top) @ inv22
+        return np.sqrt(n * (_sq_norm(inv11)[:, None] + _sq_norm(X)
+                            + _sq_norm(inv22)))
+
+
 def _solve(Z, R, ks, config):
     """Fit the bins ks with the settings in config, without the fallback.
 
@@ -211,13 +247,23 @@ def _solve(Z, R, ks, config):
     R2 = np.linalg.qr(trail, mode="r")
     res_sq = np.sum(np.abs(R2[..., rd:, rd]) ** 2, axis=-1)
     R2 = R2[..., :rd, :]
-    s = np.linalg.svd(_factor(R11[:, None], top[..., :rd], R2[..., :rd]),
-                      compute_uv=False)
-    tol = max(W, n) * np.finfo(float).eps * s[..., :1]
-    rank = np.sum(s > tol, axis=-1)
-    cond = np.full(rank.shape, np.inf)
-    some = rank > 0
-    cond[some] = s[some, 0] / s[some, rank[some] - 1]
+    # a row whose cond_F clears both thresholds, with a factor 2 for the
+    # rounding of cond_F and cond_2, is full rank and no fallback; only the
+    # other rows take the SVD for their rank and exact condition
+    eps = np.finfo(float).eps
+    bound = min(config.condition_threshold, 1.0 / (max(W, n) * eps)) / 2
+    cond = _frobenius_condition(R11, top[..., :rd], R2[..., :rd])
+    rank = np.full(cond.shape, n)
+    doubt = ~(cond <= bound)
+    if doubt.any():
+        db, di = np.nonzero(doubt)
+        s = np.linalg.svd(_factor(R11[db], top[db, di, :, :rd],
+                                  R2[db, di, :, :rd]), compute_uv=False)
+        r = np.sum(s > max(W, n) * eps * s[:, :1], axis=-1)
+        c = np.full(r.shape, np.inf)
+        some = r > 0
+        c[some] = s[some, 0] / s[some, r[some] - 1]
+        rank[doubt], cond[doubt] = r, c
     # back-substitution for the full-rank rows: R22_i first, then one solve
     # with R11 for every row of the bin
     full = rank == n

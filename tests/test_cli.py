@@ -195,6 +195,55 @@ def test_identify_rejects_record_not_whole_periods(scenario_path, sim_dir,
     assert f"n_periods={periods}" in err
 
 
+@pytest.mark.parametrize("meta", [True, False])
+def test_identify_rejects_records_of_other_periods(sim_dir, tmp_path, capsys,
+                                                   meta):
+    # simulated with periods 3, identified with 4: run_meta.json names the
+    # mismatch; without it, the records' sample counts do
+    import shutil
+
+    from mrfrf.bench import build_benchmark_scenario
+
+    data = tmp_path / "data"
+    shutil.copytree(sim_dir, data)
+    if not meta:
+        (data / "run_meta.json").unlink()
+    scenario = tmp_path / "periods4.json"
+    base = mio.scenario_to_dict(build_benchmark_scenario("default"))
+    mio.write_json(scenario, {**base, "periods": 4})
+    rc = main(["identify", "--scenario", str(scenario),
+               "--data", str(data), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    if meta:
+        assert f"{data / 'run_meta.json'}: periods is 3, the scenario has 4" \
+            in err
+    else:
+        assert f"{data / 'u_h.csv'}: samples is 10800, the scenario has " \
+            f"14400" in err
+    assert not (tmp_path / "out" / "diagnostics.json").exists()
+
+
+@pytest.mark.parametrize("field,value", [("factor", 3),
+                                         ("fast_sample_time", 1.0001e-5)])
+def test_identify_rejects_run_meta_of_another_loop(scenario_path, sim_dir,
+                                                   tmp_path, capsys, field,
+                                                   value):
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(sim_dir, data)
+    meta = json.loads((data / "run_meta.json").read_text())
+    want = meta[field]
+    meta[field] = value
+    mio.write_json(data / "run_meta.json", meta)
+    rc = main(["identify", "--scenario", scenario_path,
+               "--data", str(data), "--out", str(data)])
+    assert rc == 3
+    assert f"{field} is {value!r}, the scenario has {want!r}" \
+        in capsys.readouterr().err
+
+
 def test_bad_scenario_field_is_config_error(tmp_path, capsys):
     from mrfrf.bench import build_benchmark_scenario
 

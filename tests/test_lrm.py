@@ -6,12 +6,28 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrfrf import lrm
 from mrfrf.errors import LocalFitError
 from mrfrf.lrm import LocalModelConfig, fit_local, param_count, sweep_bins
 from mrfrf.validate import (local_regressor, lrm_exactness_error,
                             random_spectra)
+
+
+def without_certificate(monkeypatch):
+    """Certify no row, so every row takes the SVD for its rank and exact
+    condition."""
+    monkeypatch.setattr(lrm, "_frobenius_condition",
+                        lambda R11, top, R22: np.full(top.shape[:2], np.inf))
+
+
+def exact_conditions(monkeypatch, Z, R, bins, cfg):
+    """Each bin's exact condition, max_i cond_2(T_i), from the SVD path."""
+    with monkeypatch.context() as patch:
+        without_certificate(patch)
+        return [r.condition for r in sweep_bins(Z, R, bins, cfg)]
 
 
 def test_param_count_benchmark_settings():
@@ -205,13 +221,15 @@ def test_sweep_bins_withholds_bins_whose_solve_fails():
 
 
 @pytest.mark.parametrize("n_r,n_z", [(4, 5), (6, 7)])
-def test_matches_lstsq_at_benchmark_shapes(n_r, n_z):
+def test_matches_lstsq_at_benchmark_shapes(monkeypatch, n_r, n_z):
     rng = np.random.default_rng(20)
     m, k0 = 160, 37
     cfg = LocalModelConfig()
     R = random_spectra(rng, n_r, m)
     Z = random_spectra(rng, n_z, m)
     fit = fit_local(Z, R, k0, cfg)
+    without_certificate(monkeypatch)
+    exact = fit_local(Z, R, k0, cfg)
     res_sq, conds = 0.0, []
     for i in range(n_z):
         A, b = local_regressor(Z, R, k0, cfg, i)
@@ -223,7 +241,12 @@ def test_matches_lstsq_at_benchmark_shapes(n_r, n_z):
         res_sq += np.linalg.norm(A @ theta - b) ** 2
         conds.append(np.linalg.cond(A / np.linalg.norm(A, axis=0)))
     assert abs(fit.residual - np.sqrt(res_sq)) < 1e-12 * np.sqrt(res_sq)
-    assert abs(fit.condition - max(conds)) < 1e-10 * max(conds)
+    # every row is certified: cond_2 <= cond_F <= n cond_2; the SVD path
+    # gives cond_2 itself
+    n = A.shape[1]
+    assert max(conds) <= fit.condition <= n * max(conds)
+    assert abs(exact.condition - max(conds)) < 1e-10 * max(conds)
+    assert same_fit(exact, replace(fit, condition=exact.condition))
 
 
 def lstsq_residual(Z, R, k0, cfg):
@@ -307,13 +330,13 @@ def test_fit_does_not_depend_on_block_or_order():
         assert same_fit(by_bin[k], single)
 
 
-def test_fallback_bins_warn_in_order_and_equal_polynomial_fits():
+def test_fallback_bins_warn_in_order_and_equal_polynomial_fits(monkeypatch):
     rng = np.random.default_rng(23)
     m = 48
     cfg = LocalModelConfig(half_window=12)
     R = random_spectra(rng, 2, m)
     Z = random_spectra(rng, 3, m)
-    conds = [r.condition for r in sweep_bins(Z, R, range(m), cfg)]
+    conds = exact_conditions(monkeypatch, Z, R, range(m), cfg)
     split = LocalModelConfig(half_window=12,
                              condition_threshold=float(np.median(conds)))
     bins = rng.permutation(m).tolist()
@@ -335,7 +358,11 @@ def test_fallback_bins_warn_in_order_and_equal_polynomial_fits():
             assert same_fit(r, replace(fit_local(Z, R, r.center_bin, poly),
                                        fallback=True, condition=trigger))
         else:
-            assert same_fit(r, fit_local(Z, R, r.center_bin, cfg))
+            # the rational fit; its condition is cond_2 or, certified, cond_F
+            assert conds[r.center_bin] <= r.condition \
+                <= split.condition_threshold
+            assert same_fit(r, replace(fit_local(Z, R, r.center_bin, cfg),
+                                       condition=r.condition))
 
 
 def test_failed_stacked_call_is_solved_bin_by_bin(monkeypatch):
@@ -401,15 +428,14 @@ def swept(monkeypatch, threads, Z, R, bins, cfg):
 @pytest.mark.parametrize("n_r,n_z", [(4, 5), (6, 7)])
 def test_two_thread_sweep_matches_one_thread_bytes(monkeypatch, n_r, n_z):
     # the benchmark's shapes: F=2 with a 1x2 plant (5 rows, n=23) and F=3
-    # (7 rows, n=31); at the median condition half the bins fall back
+    # (7 rows, n=31); at the median exact condition half the bins fall back
     rng = np.random.default_rng(25)
     m = 96
     cfg = LocalModelConfig()
     R = random_spectra(rng, n_r, m)
     Z = random_spectra(rng, n_z, m)
     bins = rng.permutation(m).tolist()
-    ref, _, _ = swept(monkeypatch, 1, Z, R, bins, cfg)
-    median = float(np.median([r.condition for r in ref]))
+    median = float(np.median(exact_conditions(monkeypatch, Z, R, bins, cfg)))
     caller = threading.get_ident()
     for config in (cfg, replace(cfg, condition_threshold=median)):
         one, warned_one, solvers_one = swept(monkeypatch, 1, Z, R, bins, config)
@@ -433,16 +459,99 @@ def test_program_error_in_a_worker_propagates(monkeypatch, where):
     R = random_spectra(rng, 2, m)
     Z = random_spectra(rng, 3, m)
     caller = threading.get_ident()
-    svd = np.linalg.svd
+    inv = np.linalg.inv   # called on every block, by the certificate
 
     def broken(*args, **kwargs):
         if where == "every thread" or threading.get_ident() != caller:
             raise RuntimeError("bug in the solver")
-        return svd(*args, **kwargs)
+        return inv(*args, **kwargs)
 
     monkeypatch.setattr(lrm, "_THREADS", 2)
-    monkeypatch.setattr(np.linalg, "svd", broken)
+    monkeypatch.setattr(np.linalg, "inv", broken)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="bug in the solver"):
         sweep_bins(Z, R, range(m), cfg)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n_r,n_z", [(4, 5), (6, 7)])
+def test_certificate_changes_no_decision_and_no_estimate(monkeypatch, n_r, n_z):
+    # the benchmark's shapes (n=23 and n=31), with a rank-deficient last row
+    # (zero but at one bin: its denominator columns are dependent) and a NaN
+    # that fails the bins around it; at the default threshold and at the
+    # median exact condition, where half the bins fall back
+    rng = np.random.default_rng(28)
+    m = 96
+    cfg = LocalModelConfig()
+    R = random_spectra(rng, n_r, m)
+    Z = random_spectra(rng, n_z, m)
+    Z[-1] = 0.0
+    Z[-1, 40] = 1.0 - 2.0j
+    Z[0, 80] = np.nan
+    exact = exact_conditions(monkeypatch, Z, R, range(m), cfg)
+    median = float(np.median(np.array(exact)[np.isfinite(exact)]))
+    for config in (cfg, replace(cfg, condition_threshold=median)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            certified = sweep_bins(Z, R, range(m), config)
+            with monkeypatch.context() as patch:
+                without_certificate(patch)
+                svd = sweep_bins(Z, R, range(m), config)
+        assert any(r.fallback for r in svd) == (config is not cfg)
+        assert any(r.failed for r in svd)
+        for a, b in zip(certified, svd):
+            if a.fallback or a.failed:
+                assert same_fit(a, b)
+            else:
+                assert a.condition >= b.condition
+                assert same_fit(a, replace(b, condition=a.condition))
+
+
+def test_identify_runs_no_condition_svd(monkeypatch):
+    # every row of the noisy preset's sweep is certified
+    from mrfrf.bench import build_benchmark_scenario, run_benchmark
+
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    result, _, _ = run_benchmark(build_benchmark_scenario("noisy"))
+    assert not result.diagnostics.fallback.any()
+    assert calls == []
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(F=st.integers(1, 4), n_u=st.integers(1, 2), n_y=st.integers(1, 2),
+       degrees=st.tuples(*[st.integers(0, 3)] * 3), model=st.integers(0, 3),
+       widen=st.integers(0, 3), margin=st.integers(0, 12),
+       seed=st.integers(0, 2**32 - 1))
+@example(F=2, n_u=2, n_y=1, degrees=(3, 3, 3), model=0, widen=0, margin=0,
+         seed=0)   # constant model: the denominator columns are dependent
+@example(F=1, n_u=1, n_y=1, degrees=(2, 1, 0), model=3, widen=0, margin=0,
+         seed=1)   # degree_den 0
+def test_lrm_exactness_over_shapes(F, n_u, n_y, degrees, model, widen,
+                                   margin, seed):
+    # in-model data of degree up to the model's own, on windows from exactly
+    # n rows up: full-rank rows are certified, and a model of low degree
+    # makes a row rank-deficient (its denominator columns in the span of
+    # the others), which the SVD path must solve without a leak
+    rn, rt, rd = degrees
+    n_r = n_u * F
+    n = n_r * (rn + 1) + rt + 1 + rd
+    n_w = n // 2 + widen
+    cfg = LocalModelConfig(degree_num=rn, degree_transient=rt, degree_den=rd,
+                           half_window=n_w)
+    rng = np.random.default_rng(seed)
+    m = 2 * n_w + 1 + margin
+    R = random_spectra(rng, n_r, m)
+    Gs = [random_spectra(rng, n_r + n_y, n_r) for _ in range(min(model, rn) + 1)]
+    Ts = [random_spectra(rng, n_r + n_y) for _ in range(min(model, rt) + 1)]
+    err, _ = lrm_exactness_error(
+        R, int(rng.integers(m)), cfg,
+        lambda p: sum(G * p ** s for s, G in enumerate(Gs)),
+        lambda p: sum(T * p ** s for s, T in enumerate(Ts)))
+    assert err < 1e-9
