@@ -475,19 +475,21 @@ def test_program_error_in_a_worker_propagates(monkeypatch, where):
 
 
 @pytest.mark.parametrize("n_r,n_z", [(4, 5), (6, 7)])
-def test_certificate_changes_no_decision_and_no_estimate(monkeypatch, n_r, n_z):
-    # the benchmark's shapes (n=23 and n=31), with a rank-deficient last row
-    # (zero but at one bin: its denominator columns are dependent) and a NaN
-    # that fails the bins around it; at the default threshold and at the
-    # median exact condition, where half the bins fall back
+def test_certificate_changes_no_decision_and_no_estimate(monkeypatch, n_r,
+                                                         n_z):
+    # the benchmark's shapes (n=23 and n=31); the last row is zero on bins
+    # 0-69 but at bin 35, so at bins 30-39 its denominator columns are
+    # dependent (bin 35's vanish: a singular triangle sends its block to the
+    # SVD), and a NaN at bin 120 fails bins 90-150; at the default threshold
+    # and at the median exact condition, where half the fitted bins fall back
     rng = np.random.default_rng(28)
-    m = 96
+    m = 160
     cfg = LocalModelConfig()
     R = random_spectra(rng, n_r, m)
     Z = random_spectra(rng, n_z, m)
-    Z[-1] = 0.0
-    Z[-1, 40] = 1.0 - 2.0j
-    Z[0, 80] = np.nan
+    Z[-1, :70] = 0.0
+    Z[-1, 35] = 1.0 - 2.0j
+    Z[0, 120] = np.nan
     exact = exact_conditions(monkeypatch, Z, R, range(m), cfg)
     median = float(np.median(np.array(exact)[np.isfinite(exact)]))
     for config in (cfg, replace(cfg, condition_threshold=median)):
@@ -548,8 +550,9 @@ def test_lrm_exactness_over_shapes(F, n_u, n_y, degrees, model, widen,
     rng = np.random.default_rng(seed)
     m = 2 * n_w + 1 + margin
     R = random_spectra(rng, n_r, m)
-    Gs = [random_spectra(rng, n_r + n_y, n_r) for _ in range(min(model, rn) + 1)]
-    Ts = [random_spectra(rng, n_r + n_y) for _ in range(min(model, rt) + 1)]
+    n_z = n_r + n_y
+    Gs = [random_spectra(rng, n_z, n_r) for _ in range(min(model, rn) + 1)]
+    Ts = [random_spectra(rng, n_z) for _ in range(min(model, rt) + 1)]
     err, _ = lrm_exactness_error(
         R, int(rng.integers(m)), cfg,
         lambda p: sum(G * p ** s for s, G in enumerate(Gs)),
