@@ -41,19 +41,11 @@ that solution is accepted only when the null space has no component on them.
 
 sweep_bins solves blocks of _BLOCK = 6 bins with stacked LAPACK calls,
 which factor every matrix of a stack on its own: a bin's result does not
-depend on its block, its place in it or the thread that solves it.  The
-calling thread and one worker thread share the blocks (_THREADS = 2, or 1
-on a single usable core).  numpy releases the GIL inside LAPACK, about four
-fifths of a block's time; the Python work between those calls holds it.  So
-the count is capped at 2: more threads would mostly queue for the GIL, and
-each one adds its block temporaries to the peak memory.  For the same reason
-a block holds 6 bins: with 4 the threads queued for the GIL, with 8 the peak
-memory rose further.  The fallback test, its warnings and the
-polynomial refits run on the calling thread, in bin order.
+depend on its block or its place in it.  The calling thread solves the
+blocks in order; the fallback test, its warnings and the polynomial refits
+follow, in bin order.
 """
 
-import os
-import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -121,11 +113,8 @@ class LocalFitResult:
 
 
 _NULL_LEAK_TOL = 1e-7
-_BLOCK = 6   # bins per stacked solve: 4 queue for the GIL, 8 cost memory
-# threads sharing the blocks: the caller and at most one worker, one per
-# usable core (see the module docstring for the cap)
-_THREADS = min(2, len(os.sched_getaffinity(0))
-               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+_BLOCK = 6   # bins per stacked solve: fewer pay more Python per bin, more
+             # raise the peak memory of the block temporaries
 
 
 def _windows(Z, R, ks, n_w):
@@ -316,42 +305,6 @@ def _solve_or_split(Z, R, ks, config):
         return [fit for k in ks for fit in _solve_or_split(Z, R, [k], config)]
 
 
-def _solve_blocks(Z, R, ks, config):
-    """_solve_or_split on the blocks of _BLOCK bins of ks, on _THREADS
-    threads; returns one outcome per bin, in the order of ks.
-
-    With two threads the calling thread solves the even blocks and a worker
-    thread the odd ones; an exception in the worker is raised here, once the
-    worker has ended.
-    """
-    blocks = [ks[i:i + _BLOCK] for i in range(0, len(ks), _BLOCK)]
-    solved = [None] * len(blocks)
-    raised = []
-
-    def run(first):
-        for b in range(first, len(blocks), _THREADS):
-            solved[b] = _solve_or_split(Z, R, blocks[b], config)
-
-    def work():
-        try:
-            run(1)
-        except BaseException as e:  # re-raised on the calling thread
-            raised.append(e)
-
-    if _THREADS == 1 or len(blocks) < 2:
-        run(0)
-    else:
-        worker = threading.Thread(target=work)
-        worker.start()
-        try:
-            run(0)
-        finally:
-            worker.join()
-        if raised:
-            raise raised[0]
-    return [fit for block in solved for fit in block]
-
-
 def _with_fallback(Z, R, ks, fits, config):
     """Replace fits above the condition threshold by polynomial fits
     (degree_den 0, keeping the trigger condition), _BLOCK bins at a time.
@@ -404,15 +357,17 @@ def _failed_result(k, n_z, n_r, message):
 def sweep_bins(Z, R, bins, config):
     """Independent local fits at each requested bin, in input order.
 
-    The bins are solved in blocks of _BLOCK on _THREADS threads; the
-    fallback test, its warnings and the polynomial refits run on the calling
-    thread, in bin order.  Per-bin failures (an unidentifiable model, or a
-    solve that does not converge) are recorded in the corresponding result
-    instead of aborting the sweep.
+    The calling thread solves the bins in blocks of _BLOCK, in order; then
+    the fallback test, its warnings and the polynomial refits run in bin
+    order.  Per-bin failures (an unidentifiable model, or a solve that does
+    not converge) are recorded in the corresponding result instead of
+    aborting the sweep.
     """
     n_z, n_r = Z.shape[0], R.shape[0]
     ks = [int(k) for k in bins]
-    fits = _with_fallback(Z, R, ks, _solve_blocks(Z, R, ks, config), config)
+    fits = [fit for i in range(0, len(ks), _BLOCK)
+            for fit in _solve_or_split(Z, R, ks[i:i + _BLOCK], config)]
+    fits = _with_fallback(Z, R, ks, fits, config)
     results = []
     for k, fit in zip(ks, fits):
         if isinstance(fit, np.linalg.LinAlgError):

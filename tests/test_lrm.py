@@ -1,6 +1,4 @@
 import re
-import sys
-import threading
 import warnings
 from dataclasses import replace
 
@@ -314,20 +312,22 @@ def same_fit(a, b):
 
 
 def test_fit_does_not_depend_on_block_or_order():
+    # a small model, then the benchmark's shapes: F=2 with a 1x2 plant
+    # (5 rows, n=23) and F=3 (7 rows, n=31)
     rng = np.random.default_rng(22)
-    m = 61
-    cfg = LocalModelConfig(half_window=12)
-    R = random_spectra(rng, 2, m)
-    Z = random_spectra(rng, 3, m)
-    swept = sweep_bins(Z, R, range(m), cfg)
-    order = rng.permutation(m)
-    shuffled = sweep_bins(Z, R, order, cfg)
-    assert [r.center_bin for r in shuffled] == order.tolist()
-    by_bin = {r.center_bin: r for r in shuffled}
-    for k in range(m):
-        single = fit_local(Z, R, k, cfg)
-        assert same_fit(swept[k], single)
-        assert same_fit(by_bin[k], single)
+    for n_r, n_z, n_w, m in ((2, 3, 12, 61), (4, 5, 30, 80), (6, 7, 30, 80)):
+        cfg = LocalModelConfig(half_window=n_w)
+        R = random_spectra(rng, n_r, m)
+        Z = random_spectra(rng, n_z, m)
+        swept = sweep_bins(Z, R, range(m), cfg)
+        order = rng.permutation(m)
+        shuffled = sweep_bins(Z, R, order, cfg)
+        assert [r.center_bin for r in shuffled] == order.tolist()
+        by_bin = {r.center_bin: r for r in shuffled}
+        for k in range(m):
+            single = fit_local(Z, R, k, cfg)
+            assert same_fit(swept[k], single)
+            assert same_fit(by_bin[k], single)
 
 
 def test_fallback_bins_warn_in_order_and_equal_polynomial_fits(monkeypatch):
@@ -343,9 +343,12 @@ def test_fallback_bins_warn_in_order_and_equal_polynomial_fits(monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = sweep_bins(Z, R, bins, split)
+    fallbacks = [w for w in caught
+                 if "falling back to a polynomial model" in str(w.message)]
+    # each points at the caller of sweep_bins
+    assert all(w.filename == __file__ for w in fallbacks)
     warned = [int(re.search(r"at bin (\d+);", str(w.message)).group(1))
-              for w in caught if "falling back to a polynomial model"
-              in str(w.message)]
+              for w in fallbacks]
     fell = [r.center_bin for r in out if r.fallback]
     assert 0 < len(fell) < m
     assert warned == fell
@@ -394,84 +397,21 @@ def test_failed_stacked_call_is_solved_bin_by_bin(monkeypatch):
             assert same_fit(out[k], clean[k])
 
 
-def swept(monkeypatch, threads, Z, R, bins, cfg):
-    """sweep_bins on the given number of threads: the results, the bins of
-    the fallback warnings in the order raised, and the threads that solved
-    blocks."""
-    solvers = set()
-    solve = lrm._solve_or_split
-
-    def traced(*args):
-        solvers.add(threading.get_ident())
-        return solve(*args)
-
-    monkeypatch.setattr(lrm, "_THREADS", threads)
-    monkeypatch.setattr(lrm, "_solve_or_split", traced)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, to expose a race
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out = sweep_bins(Z, R, bins, cfg)
-    finally:
-        sys.setswitchinterval(interval)
-    monkeypatch.setattr(lrm, "_solve_or_split", solve)
-    fallbacks = [w for w in caught
-                 if "falling back to a polynomial model" in str(w.message)]
-    # raised on the calling thread, pointing at the caller of sweep_bins
-    assert all(w.filename == __file__ for w in fallbacks)
-    warned = [int(re.search(r"at bin (\d+);", str(w.message)).group(1))
-              for w in fallbacks]
-    return out, warned, solvers
-
-
-@pytest.mark.parametrize("n_r,n_z", [(4, 5), (6, 7)])
-def test_two_thread_sweep_matches_one_thread_bytes(monkeypatch, n_r, n_z):
-    # the benchmark's shapes: F=2 with a 1x2 plant (5 rows, n=23) and F=3
-    # (7 rows, n=31); at the median exact condition half the bins fall back
-    rng = np.random.default_rng(25)
-    m = 96
-    cfg = LocalModelConfig()
-    R = random_spectra(rng, n_r, m)
-    Z = random_spectra(rng, n_z, m)
-    bins = rng.permutation(m).tolist()
-    median = float(np.median(exact_conditions(monkeypatch, Z, R, bins, cfg)))
-    caller = threading.get_ident()
-    for config in (cfg, replace(cfg, condition_threshold=median)):
-        one, warned_one, solvers_one = swept(monkeypatch, 1, Z, R, bins, config)
-        two, warned_two, solvers_two = swept(monkeypatch, 2, Z, R, bins, config)
-        assert solvers_one == {caller}
-        assert len(solvers_two) == 2 and caller in solvers_two
-        assert [r.center_bin for r in two] == bins
-        assert all(same_fit(a, b) for a, b in zip(one, two))
-        fell = [r.center_bin for r in two if r.fallback]
-        assert warned_two == warned_one == fell
-    assert 0 < len(fell) < m
-
-
-@pytest.mark.parametrize("where", ["worker", "every thread"])
-def test_program_error_in_a_worker_propagates(monkeypatch, where):
+def test_program_error_in_the_solver_propagates(monkeypatch):
     # an error that is not a LinAlgError is a bug, not a withheld bin: it
-    # leaves sweep_bins with its type, and the worker thread is gone
+    # leaves sweep_bins with its type
     rng = np.random.default_rng(26)
     m = 48
     cfg = LocalModelConfig(half_window=12)
     R = random_spectra(rng, 2, m)
     Z = random_spectra(rng, 3, m)
-    caller = threading.get_ident()
-    inv = np.linalg.inv   # called on every block, by the certificate
 
-    def broken(*args, **kwargs):
-        if where == "every thread" or threading.get_ident() != caller:
-            raise RuntimeError("bug in the solver")
-        return inv(*args, **kwargs)
+    def broken(*args, **kwargs):   # inv runs on every block, in the certificate
+        raise RuntimeError("bug in the solver")
 
-    monkeypatch.setattr(lrm, "_THREADS", 2)
     monkeypatch.setattr(np.linalg, "inv", broken)
-    before = threading.active_count()
     with pytest.raises(RuntimeError, match="bug in the solver"):
         sweep_bins(Z, R, range(m), cfg)
-    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("n_r,n_z", [(4, 5), (6, 7)])
