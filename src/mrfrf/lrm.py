@@ -114,7 +114,7 @@ class LocalFitResult:
 
 _NULL_LEAK_TOL = 1e-7
 _BLOCK = 6   # bins per stacked solve: fewer pay more Python per bin, more
-             # raise the peak memory of the block temporaries
+             # gain no time and add their temporaries to the peak memory
 
 
 def _windows(Z, R, ks, n_w):

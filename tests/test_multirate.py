@@ -105,6 +105,24 @@ def test_lift_frf_and_recovery_over_shapes(F, ny, nu, m, seed):
     assert lifted_structure_error(plant, m * F, F) < 1e-12
 
 
+@ORACLES
+@given(F=st.integers(1, 5), ch=st.integers(1, 3), m=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1))
+def test_lift_roundtrip_over_shapes(F, ch, m, seed):
+    x = rec(np.random.default_rng(seed).standard_normal((ch, m * F)))
+    assert lift_roundtrip_error(x, F) == 0
+
+
+@ORACLES
+@given(F=st.integers(1, 5), order=st.integers(1, 4), m=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1))
+def test_noble_identity_over_shapes(F, order, m, seed):
+    rng = np.random.default_rng(seed)
+    plant = random_stable_plant(rng, 1, 1, order=order, sample_time=1e-4)
+    x = rec(rng.standard_normal((1, m * F)), ts=1e-4)
+    assert noble_error(plant, x, F) < 1e-9
+
+
 def test_lift_frf_components_m_periodic():
     # the component formula evaluated at bin k + M reproduces the bin-k value
     rng = np.random.default_rng(5)

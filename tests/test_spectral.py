@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrfrf.errors import RateError, SimulationError
 from mrfrf.lti import RationalTF, dft_grid, freq_response
@@ -61,6 +63,15 @@ def test_alias_matches_time_domain_downsampling():
             m = int(rng.integers(5, 50))
             x = SignalRecord(rng.standard_normal((2, m * F)), 1e-4)
             assert aliasing_error(x, F) < 1e-12
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(F=st.integers(1, 5), ch=st.integers(1, 3), m=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1))
+def test_aliasing_identity_over_shapes(F, ch, m, seed):
+    x = SignalRecord(np.random.default_rng(seed).standard_normal((ch, m * F)),
+                     1e-4)
+    assert aliasing_error(x, F) < 1e-12
 
 
 def test_alias_rejects_bad_factor():
