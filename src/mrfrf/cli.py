@@ -21,7 +21,7 @@ from .errors import ConfigError, DataFormatError, MrfrfError
 from .ident import identify
 from .loopsim import simulate
 from .lti import FrfMatrix
-from .multirate import FAST, SLOW
+from .multirate import FAST, SLOW, SignalRecord
 from .spectral import multisine
 from .validate import run_suites
 
@@ -88,8 +88,8 @@ def cmd_simulate(args):
     r_h = multisine(scenario.excitation)
     sim = simulate(scenario.loop, r_h, periods=scenario.periods,
                    seed=scenario.seed)
-    for name, rec in (("r_h", sim.r_h), ("u_h", sim.u_h),
-                      ("y_h", sim.y_h), ("y_l", sim.y_l)):
+    # one excitation period, as generate writes it; y_h is not a measurement
+    for name, rec in (("r_h", r_h), ("u_h", sim.u_h), ("y_l", sim.y_l)):
         mio.write_signal_csv(os.path.join(args.out, f"{name}.csv"), rec)
     mio.write_json(os.path.join(args.out, "run_meta.json"), {
         "format_version": mio.FORMAT_VERSION,
@@ -98,7 +98,7 @@ def cmd_simulate(args):
         "fast_sample_time": scenario.loop.plant.sample_time,
         "factor": scenario.loop.factor,
     })
-    print(f"wrote 4 records to {args.out}; seed={sim.seed}")
+    print(f"wrote 3 records to {args.out}; seed={sim.seed}")
     return EXIT_OK
 
 
@@ -125,16 +125,14 @@ def _check_run_meta(data_dir, scenario):
                                   f"has {want!r}")
 
 
-def _read_record(path, scenario, rate_tag, n_expected, sample_time):
-    """The signal CSV at path, which must hold n_expected samples: the
-    scenario's periods of its excitation period."""
-    rec = mio.read_signal_csv(path, sample_time, rate_tag,
-                              n_periods=scenario.periods)
-    if rec.n_samples != n_expected:
+def _read_record(path, rate_tag, sample_time, periods, n_period):
+    """The signal CSV at path, which must hold periods periods of n_period
+    samples."""
+    rec = mio.read_signal_csv(path, sample_time, rate_tag, n_periods=periods)
+    if rec.n_samples != periods * n_period:
         raise DataFormatError(
             f"{path}: samples is {rec.n_samples}, the scenario has "
-            f"{n_expected} (periods {scenario.periods} of "
-            f"{n_expected // scenario.periods} samples)")
+            f"{periods * n_period} (periods {periods} of {n_period} samples)")
     return rec
 
 
@@ -145,14 +143,17 @@ def cmd_identify(args):
     _check_run_meta(data_dir, scenario)
     ts = scenario.loop.plant.sample_time
     F = scenario.loop.factor
-    n = scenario.periods * scenario.excitation.n_samples
-    u_h, r_h = (_read_record(os.path.join(data_dir, f"{name}.csv"), scenario,
-                             FAST, n, ts) for name in ("u_h", "r_h"))
-    y_l = _read_record(os.path.join(data_dir, "y_l.csv"), scenario, SLOW,
-                       n // F, ts * F)
-    pi = scenario.ident_periods
-    result = identify(u_h.last_periods(pi), r_h.last_periods(pi),
-                      y_l.last_periods(pi), F, scenario.lrm)
+    n, p, pi = scenario.excitation.n_samples, scenario.periods, \
+        scenario.ident_periods
+    u_h = _read_record(os.path.join(data_dir, "u_h.csv"), FAST, ts, p, n)
+    r_h = _read_record(os.path.join(data_dir, "r_h.csv"), FAST, ts, 1, n)
+    y_l = _read_record(os.path.join(data_dir, "y_l.csv"), SLOW, ts * F, p,
+                       n // F)
+    # r_h.csv is one period of the repeated excitation: tiled, its spectra
+    # average over as many periods as those of u_h and y_l
+    r_h = SignalRecord(np.tile(r_h.data, pi), ts, FAST, n_periods=pi)
+    result = identify(u_h.last_periods(pi), r_h, y_l.last_periods(pi), F,
+                      scenario.lrm)
     frf = result.frf
     for i in range(frf.n_outputs):
         for j in range(frf.n_inputs):

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DataFormatError, RateError
 from .lrm import sweep_bins, window_problem
 from .lti import FrfMatrix, dft_grid
-from .multirate import FAST, SLOW, lift
+from .multirate import FAST, SLOW, SignalRecord, lift
 from .spectral import alias_energy_split, dft
 
 #: A bin whose lifted sensitivity has a larger condition number is withheld.
@@ -114,25 +114,14 @@ def recover_P(lifted_row, factor, n_fast_bins, fast_sample_time,
 
 
 def _averaged_lifted_spectra(u_h, r_h, y_l, factor):
-    """Lift and transform, coherently averaging periods when present."""
+    """Lift and transform each record, coherently averaging its periods."""
     p = u_h.n_periods or 1
 
-    def spectra(record, do_lift):
-        if p > 1:
-            per = [record.period(i) for i in range(p)]
-        else:
-            per = [record]
-        acc = None
-        for rec in per:
-            if do_lift:
-                data = lift(rec, factor)
-                vals = np.fft.fft(data, axis=1)
-            else:
-                vals = dft(rec).values
-            acc = vals if acc is None else acc + vals
-        return acc / len(per)
+    def spectra(record, F):
+        data = lift(record, F)
+        return np.fft.fft(data.reshape(len(data), p, -1), axis=-1).mean(axis=1)
 
-    return (spectra(u_h, True), spectra(r_h, True), spectra(y_l, False))
+    return spectra(u_h, factor), spectra(r_h, factor), spectra(y_l, 1)
 
 
 def identify(u_h, r_h, y_l, factor, config):
@@ -174,7 +163,8 @@ def identify(u_h, r_h, y_l, factor, config):
                 f"{name} channel {ch} sample {n_bad} is not finite")
 
     nu, ny = u_h.n_channels, y_l.n_channels
-    m = n_one(u_h) // F
+    n //= u_h.n_periods or 1   # samples in one period
+    m = n // F
     if problem := window_problem(config, nu, ny, F, m):
         raise RateError(problem)
     U, R, Y = _averaged_lifted_spectra(u_h, r_h, y_l, F)
@@ -219,15 +209,9 @@ def identify(u_h, r_h, y_l, factor, config):
     for k in np.nonzero(sing)[0]:
         messages.setdefault(int(k), "lifted sensitivity near-singular")
     lifted_row[failed] = np.nan + 0j
-    frf, flags = recover_P(lifted_row, F, n_one(u_h), u_h.sample_time,
-                           flags=failed)
-    r_one = r_h.period(0) if (r_h.n_periods or 1) > 1 else r_h
-    energy = alias_energy_split(dft(r_one), F)
+    frf, flags = recover_P(lifted_row, F, n, u_h.sample_time, flags=failed)
+    energy = alias_energy_split(
+        dft(SignalRecord(r_h.data[:, :n], r_h.sample_time)), F)
     diag = BinDiagnostics(residual, fit_cond, sens_cond, fallback, failed,
                           messages, energy, config.condition_threshold)
     return IdentResult(sens, ps_row, lifted_row, frf, flags, diag, F)
-
-
-def n_one(record):
-    """Samples in one period of a record."""
-    return record.n_samples // (record.n_periods or 1)

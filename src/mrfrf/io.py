@@ -38,32 +38,12 @@ def _csv_chunks(data):
         yield (row * block.shape[1]) % tuple(block.T.ravel().tolist())
 
 
-def _period_repeats(record):
-    """n_periods if every period is bitwise equal to the first, else 1.
-
-    Bits, not values, are compared: -0.0 == 0.0 but their reprs differ."""
-    p = record.n_periods or 1
-    if p > 1:
-        bits = record.data.view(np.uint64).reshape(
-            record.n_channels, p, record.n_samples // p)
-        if (bits == bits[:, :1]).all():
-            return p
-    return 1
-
-
 def write_signal_csv(path, record):
-    """One column per channel, header ch0..chK, version comment first.
-
-    A periodic record (such as the tiled excitation) is formatted for one
-    period and written n_periods times."""
-    repeats = _period_repeats(record)
-    chunks = _csv_chunks(record.data[:, :record.n_samples // repeats])
-    if repeats > 1:
-        chunks = list(chunks) * repeats
+    """One column per channel, header ch0..chK, version comment first."""
     header = ",".join(f"ch{c}" for c in range(record.n_channels))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"{_VERSION_LINE}\n{header}\n")
-        f.writelines(chunks)
+        f.writelines(_csv_chunks(record.data))
 
 
 def _parse_fast(lines, body, n_channels):
@@ -99,26 +79,11 @@ def _parse_rows(path, lines, body, n_channels):
     return data
 
 
-def _one_period(text, p):
-    """text through the first of p periods if all after the header line (it
-    starts with ch0) is one period's text repeated p times, else None."""
-    start = text.find("\n", text.find("ch0")) + 1
-    kept = [x for x in text[:start].splitlines() if x.strip() and x[0] != "#"]
-    n, extra = divmod(len(text) - start, p)
-    chunk = text[start:start + n]
-    if len(kept) == 1 and n and not extra and chunk[-1] == "\n" and all(
-            text.startswith(chunk, start + k * n) for k in range(1, p)):
-        return text[:start + n]
-
-
 def read_signal_csv(path, sample_time, rate_tag=FAST, n_periods=None):
     """The record in a signal CSV; a bad value is a DataFormatError naming
-    its file row.  A body that is n_periods repeats of one period's text, as
-    write_signal_csv writes a periodic record, is parsed once and tiled."""
+    its file row."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
-    one = _one_period(text, n_periods) if (n_periods or 0) > 1 else None
-    text, repeats = (text, 1) if one is None else (one, n_periods)
     # loadtxt strips U+001F around a field as whitespace; float() rejects it
     fast = "\x1f" not in text
     lines = text.splitlines()
@@ -142,7 +107,6 @@ def read_signal_csv(path, sample_time, rate_tag=FAST, n_periods=None):
         line_no = body[int(np.argmin(finite))] + 1
         raise DataFormatError(f"{path}: row {line_no} is not finite",
                               row=line_no)
-    data = np.tile(data, repeats)
     if n_periods is not None and n_periods >= 1 and data.shape[1] % n_periods:
         raise DataFormatError(f"{path}: {data.shape[1]} samples do not divide "
                               f"evenly into n_periods={n_periods} periods")

@@ -72,7 +72,8 @@ class MultirateLoopSpec:
 class SimulationOutput:
     r_h: SignalRecord
     u_h: SignalRecord
-    y_h: SignalRecord
+    y_h: SignalRecord   # the fast plant output, for API callers only: the
+                        # method measures y_l, and the CLI writes no y_h.csv
     y_l: SignalRecord
     seed: int
 

@@ -184,13 +184,20 @@ def _frobenius_condition(R11, top, R22):
                             + _sq_norm(inv22)))
 
 
+def _failed_result(k, Z, R, message):
+    """The result of a fit at bin k that failed for the reason message."""
+    nan_mat = np.full((Z.shape[0], R.shape[0]), np.nan + 0j)
+    nan_vec = np.full(Z.shape[0], np.nan + 0j)
+    return LocalFitResult(k, nan_mat, nan_vec, np.nan, np.inf, error=message)
+
+
 def _solve(Z, R, ks, config):
     """Fit the bins ks with the settings in config, without the fallback.
 
-    Returns one outcome per bin: a LocalFitResult, or the exception that
-    failed the fit (LocalFitError for an unidentifiable model,
-    LinAlgError for a window holding a non-finite value).  Stacked LAPACK
-    calls raise LinAlgError for the whole block.
+    Returns one LocalFitResult per bin; a bin whose fit failed (an
+    unidentifiable model, or a window holding a non-finite value) carries
+    the reason in its error.  Stacked LAPACK calls raise LinAlgError for the
+    whole block.
     """
     n_z, n_r = Z.shape[0], R.shape[0]
     rn, rd = config.degree_num, config.degree_den
@@ -198,16 +205,18 @@ def _solve(Z, R, ks, config):
     n1 = n_r * (rn + 1) + config.degree_transient + 1
     n = n1 + rd
     if R.shape[1] != Z.shape[1]:
-        return [LocalFitError("Z and R must share the same bin grid")
-                for _ in ks]
+        return [_failed_result(k, Z, R, "Z and R must share the same bin grid")
+                for k in ks]
     if W < n:
-        return [LocalFitError(f"window supplies {W} rows per output for {n} "
-                              f"parameters at bin {k}") for k in ks]
+        return [_failed_result(k, Z, R, f"window supplies {W} rows per output "
+                               f"for {n} parameters at bin {k}") for k in ks]
     out = [None] * len(ks)
     Rw, Zw = _windows(Z, R, ks, config.half_window)
     finite = np.isfinite(Rw).all(axis=(1, 2)) & np.isfinite(Zw).all(axis=(1, 2))
     for j in np.nonzero(~finite)[0]:
-        out[j] = np.linalg.LinAlgError("non-finite value in the window")
+        out[j] = _failed_result(ks[j], Z, R, f"least-squares solve failed "
+                                f"at bin {ks[j]}: non-finite value in the "
+                                f"window")
     good = np.nonzero(finite)[0]
     if not good.size:
         return out
@@ -284,7 +293,8 @@ def _solve(Z, R, ks, config):
         k = ks[j]
         if leaky[b].any():
             i = int(np.argmax(leaky[b]))
-            out[j] = LocalFitError(
+            out[j] = _failed_result(
+                k, Z, R,
                 f"rank-deficient regressor at bin {k}, output row {i}: "
                 f"estimates not identifiable (null-space leakage "
                 f"{leak[b, i]:.2e}, condition {cond[b, i]:.3e})")
@@ -296,12 +306,14 @@ def _solve(Z, R, ks, config):
 
 
 def _solve_or_split(Z, R, ks, config):
-    """_solve on the block ks; if a stacked call fails, bin by bin."""
+    """_solve on the block ks; if a stacked call fails, bin by bin, and a
+    bin whose own call fails is a failed result."""
     try:
         return _solve(Z, R, ks, config)
     except np.linalg.LinAlgError as e:
         if len(ks) == 1:
-            return [e]
+            return [_failed_result(ks[0], Z, R, f"least-squares solve failed "
+                                   f"at bin {ks[0]}: {e}")]
         return [fit for k in ks for fit in _solve_or_split(Z, R, [k], config)]
 
 
@@ -310,7 +322,7 @@ def _with_fallback(Z, R, ks, fits, config):
     (degree_den 0, keeping the trigger condition), _BLOCK bins at a time.
     Each warns, in the order of ks, at the caller of fit_local/sweep_bins."""
     refit = [j for j, fit in enumerate(fits)
-             if isinstance(fit, LocalFitResult) and config.degree_den > 0
+             if not fit.failed and config.degree_den > 0
              and fit.condition > config.condition_threshold]
     for j in refit:
         warnings.warn(
@@ -323,8 +335,8 @@ def _with_fallback(Z, R, ks, fits, config):
         chunk = refit[start:start + _BLOCK]
         polys = _solve_or_split(Z, R, [ks[j] for j in chunk], cfg0)
         for j, fit in zip(chunk, polys):
-            fits[j] = replace(fit, fallback=True, condition=fits[j].condition) \
-                if isinstance(fit, LocalFitResult) else fit
+            fits[j] = fit if fit.failed else replace(
+                fit, fallback=True, condition=fits[j].condition)
     return fits
 
 
@@ -338,20 +350,15 @@ def fit_local(Z, R, k, config):
     residual norm, and window condition number (the worst row).  When the
     condition exceeds the configured threshold the fit falls back to a pure
     local polynomial (denominator fixed to identity) and the result is marked
-    accordingly.  An unidentifiable model raises LocalFitError, a window with
-    a non-finite value np.linalg.LinAlgError.
+    accordingly.  A failed fit (an unidentifiable model, or a window with a
+    non-finite value) raises LocalFitError with the message sweep_bins
+    records for the bin.
     """
     ks = [int(k)]
     fit, = _with_fallback(Z, R, ks, _solve_or_split(Z, R, ks, config), config)
-    if isinstance(fit, Exception):
-        raise fit
+    if fit.failed:
+        raise LocalFitError(fit.error)
     return fit
-
-
-def _failed_result(k, n_z, n_r, message):
-    nan_mat = np.full((n_z, n_r), np.nan + 0j)
-    nan_vec = np.full(n_z, np.nan + 0j)
-    return LocalFitResult(k, nan_mat, nan_vec, np.nan, np.inf, error=message)
 
 
 def sweep_bins(Z, R, bins, config):
@@ -363,17 +370,7 @@ def sweep_bins(Z, R, bins, config):
     not converge) are recorded in the corresponding result instead of
     aborting the sweep.
     """
-    n_z, n_r = Z.shape[0], R.shape[0]
     ks = [int(k) for k in bins]
     fits = [fit for i in range(0, len(ks), _BLOCK)
             for fit in _solve_or_split(Z, R, ks[i:i + _BLOCK], config)]
-    fits = _with_fallback(Z, R, ks, fits, config)
-    results = []
-    for k, fit in zip(ks, fits):
-        if isinstance(fit, np.linalg.LinAlgError):
-            fit = _failed_result(
-                k, n_z, n_r, f"least-squares solve failed at bin {k}: {fit}")
-        elif isinstance(fit, LocalFitError):
-            fit = _failed_result(k, n_z, n_r, str(fit))
-        results.append(fit)
-    return results
+    return _with_fallback(Z, R, ks, fits, config)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from mrfrf import io as mio
@@ -51,10 +52,17 @@ def sim_dir(scenario_path, tmp_path_factory):
     return out
 
 
-def test_simulate_outputs(sim_dir):
-    for name in ("r_h", "u_h", "y_h", "y_l"):
-        assert (sim_dir / f"{name}.csv").exists()
-    meta = json.loads((sim_dir / "run_meta.json").read_text())
+def test_simulate_outputs(scenario_path, tmp_path):
+    # the records identify reads and run_meta.json, nothing else: no y_h.csv,
+    # and r_h.csv is generate's one excitation period, byte for byte
+    sim, gen = tmp_path / "sim", tmp_path / "gen"
+    for command, out in (("simulate", sim), ("generate", gen)):
+        assert main([command, "--scenario", scenario_path,
+                     "--out", str(out)]) == 0
+    assert sorted(p.name for p in sim.iterdir()) == [
+        "r_h.csv", "run_meta.json", "u_h.csv", "y_l.csv"]
+    assert (sim / "r_h.csv").read_bytes() == (gen / "r_h.csv").read_bytes()
+    meta = json.loads((sim / "run_meta.json").read_text())
     assert meta["seed"] == 1234
     assert meta["factor"] == 2
 
@@ -221,6 +229,26 @@ def test_identify_rejects_records_of_other_periods(sim_dir, tmp_path, capsys,
     else:
         assert f"{data / 'u_h.csv'}: samples is 10800, the scenario has " \
             f"14400" in err
+    assert not (tmp_path / "out" / "diagnostics.json").exists()
+
+
+def test_identify_rejects_a_multi_period_excitation(scenario_path, sim_dir,
+                                                    tmp_path, capsys):
+    # the layout before r_h.csv held one period: simulate wrote all 3 periods
+    import shutil
+
+    from mrfrf.multirate import SignalRecord
+
+    data = tmp_path / "data"
+    shutil.copytree(sim_dir, data)
+    one = mio.read_signal_csv(data / "r_h.csv", 1e-5)
+    mio.write_signal_csv(data / "r_h.csv",
+                         SignalRecord(np.tile(one.data, 3), 1e-5, n_periods=3))
+    rc = main(["identify", "--scenario", scenario_path,
+               "--data", str(data), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert f"{data / 'r_h.csv'}: samples is 10800, the scenario has 3600" \
+        in capsys.readouterr().err
     assert not (tmp_path / "out" / "diagnostics.json").exists()
 
 

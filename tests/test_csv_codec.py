@@ -1,6 +1,6 @@
 """Properties of the signal and FRF CSV codecs: exact round trips, the bytes
-of a row-by-row formatter, and the same verdict from the fast parse, the
-parse of one repeated period and the per-row parse."""
+of a row-by-row formatter, and the same verdict from the fast parse and the
+per-row parse."""
 
 import numpy as np
 import pytest
@@ -24,22 +24,12 @@ FLOATS = st.floats(allow_nan=False, allow_infinity=False) | \
 
 @st.composite
 def records(draw):
-    """A record of 1-3 channels and 1-4 periods; some are one period tiled,
-    some tile a period with a zero's sign flipped in a later period."""
+    """A record of 1-3 channels and 1-4 periods of 1-12 samples."""
     n_ch = draw(st.integers(1, 3))
-    length = draw(st.integers(1, 12))
     periods = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["tiled", "flipped-zero", "free"]))
-    if kind == "free":
-        data = draw(hnp.arrays(np.float64, (n_ch, length * periods),
-                               elements=FLOATS))
-    else:
-        period = draw(hnp.arrays(np.float64, (n_ch, length), elements=FLOATS))
-        if kind == "flipped-zero":
-            period[0, -1] = 0.0
-        data = np.tile(period, (1, periods))
-        if kind == "flipped-zero":
-            data[0, -1] = -0.0
+    length = draw(st.integers(1, 12))
+    data = draw(hnp.arrays(np.float64, (n_ch, length * periods),
+                           elements=FLOATS))
     return SignalRecord(data, 1e-4, n_periods=periods)
 
 
@@ -72,28 +62,13 @@ def test_writer_bytes_match_row_by_row_formatter(tmp_path, monkeypatch, rec):
 
 
 def _per_row(*args, **kwargs):
-    """read_signal_csv with the per-row parse of every period of the file."""
-    fast, one = mio._parse_fast, mio._one_period
-    mio._parse_fast = mio._one_period = lambda *args: None
+    """read_signal_csv with the per-row parse of every row of the file."""
+    fast = mio._parse_fast
+    mio._parse_fast = lambda *args: None
     try:
         return mio.read_signal_csv(*args, **kwargs)
     finally:
-        mio._parse_fast, mio._one_period = fast, one
-
-
-@CODEC
-@given(rec=records())
-def test_repeated_period_parse_is_the_per_row_parse(tmp_path, rec):
-    # one period is parsed exactly when the writer repeated one period
-    path = tmp_path / "rec.csv"
-    mio.write_signal_csv(path, rec)
-    p = rec.n_periods
-    if p > 1:
-        assert (mio._one_period(path.read_text(), p) is not None) \
-            == (mio._period_repeats(rec) == p)
-    back = mio.read_signal_csv(path, 1e-4, n_periods=p)
-    assert back.data.tobytes() == _per_row(path, 1e-4, n_periods=p).data.tobytes()
-    assert back.data.tobytes() == rec.data.tobytes()
+        mio._parse_fast = fast
 
 
 @pytest.mark.parametrize("value,message", [("1.0x", "not numeric"),
@@ -113,16 +88,6 @@ def test_bad_value_in_the_last_period_names_its_row(tmp_path, value,
                            match=f"row 13 is {message}") as exc:
             read(path, 1e-4, n_periods=4)
         assert exc.value.row == 13
-
-
-def test_periods_equal_but_for_a_zero_sign_are_not_repeated(tmp_path):
-    data = np.zeros((2, 6))
-    data[1, 4] = -0.0
-    rec = SignalRecord(data, 1e-4, n_periods=3)
-    path = tmp_path / "rec.csv"
-    mio.write_signal_csv(path, rec)
-    assert path.read_text() == _row_by_row(rec)
-    assert path.read_text().splitlines()[2 + 4] == "0.0,-0.0"
 
 
 TOKEN = st.text(alphabet="0123456789.eE+-_ xnaif,\t\x1f\xa0#", max_size=6)

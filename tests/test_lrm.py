@@ -212,10 +212,25 @@ def test_sweep_bins_withholds_bins_whose_solve_fails():
     assert [r.failed for r in out] == covered
     for r in out:
         if r.failed:
-            assert f"solve failed at bin {r.center_bin}" in r.error
+            assert r.error == (f"least-squares solve failed at bin "
+                               f"{r.center_bin}: non-finite value in the "
+                               f"window")
             assert np.isnan(r.response).all()
         else:
             assert np.isfinite(r.response).all()
+
+
+def test_fit_local_on_a_non_finite_window_raises_local_fit_error():
+    # the package's error, with the message sweep_bins records for the bin
+    rng = np.random.default_rng(11)
+    cfg = LocalModelConfig(degree_num=1, degree_transient=1, degree_den=1,
+                           half_window=5)
+    R = random_spectra(rng, 1, 40)
+    Z = random_spectra(rng, 2, 40)
+    Z[0, 10] = np.nan
+    with pytest.raises(LocalFitError, match=r"^least-squares solve failed at "
+                       r"bin 12: non-finite value in the window$"):
+        fit_local(Z, R, 12, cfg)
 
 
 @pytest.mark.parametrize("n_r,n_z", [(4, 5), (6, 7)])
