@@ -143,8 +143,8 @@ def cmd_identify(args):
     _check_run_meta(data_dir, scenario)
     ts = scenario.loop.plant.sample_time
     F = scenario.loop.factor
-    n, p, pi = scenario.excitation.n_samples, scenario.periods, \
-        scenario.ident_periods
+    n = scenario.excitation.n_samples
+    p, pi = scenario.periods, scenario.ident_periods
     u_h = _read_record(os.path.join(data_dir, "u_h.csv"), FAST, ts, p, n)
     r_h = _read_record(os.path.join(data_dir, "r_h.csv"), FAST, ts, 1, n)
     y_l = _read_record(os.path.join(data_dir, "y_l.csv"), SLOW, ts * F, p,
