@@ -4,22 +4,16 @@
 ``multirate_loop`` runs the multirate feedback loop; both accept systems
 without states (zero-size A, B, C).
 
-``multirate_loop`` runs one hold block per slow step: the sample instant,
-the input filters over the hold, the plant input for all F fast steps in two
-elementwise operations, then the plant, the controller and the guard.  Each
-matrix-vector product keeps the operands, shapes and order of the
-per-fast-step recursion with ``@`` (a matrix-matrix product would sum in
-another order), so the records are bitwise those of that recursion, the
-reference of ``tests/test_kernels.py``.  Products are bound once as
-``M.dot``, skipping ``@``'s ufunc dispatch, except for a one-column M: there
-dot can return -0.0 for a zero or underflowed product where matmul, which
-sums from +0.0, returns +0.0.  Without input filter states ``Cw @ xw`` is
-+0.0, so ``x - Cw @ xw`` is x and is dropped, while ``(+0.0) + Dw v`` turns
--0.0 into +0.0 and stays, as ``Dw v + 0.0``.  The output noise between
-sample instants is added elementwise to the whole record in one call.
+Over one slow step the period-F loop is a time-invariant system
+(Bittanti & Colaneri, *Periodic Systems*, 2009): ``lifted_step`` unrolls one
+slow step into x_{m+1} = A x_m + B v_m, [u_m; y_m] = C x_m + D v_m, and
+``multirate_loop`` runs that system.  The inputs' share B v_m of every step
+comes from whole-record matrix products, so the sequential part is one
+matrix-vector product and one add per slow step; u and y follow from X in
+whole-record products too.  The records agree with the per-fast-step
+recursion (the reference of ``tests/test_kernels.py``) to rounding, about
+1e-13 of their peak, not bit for bit; they are the same bits on every run.
 """
-
-from functools import partial
 
 import numpy as np
 
@@ -42,9 +36,48 @@ def ss_filter(A, B, C, D, u, x0):
     return y
 
 
-def _product(M):
-    """(v, out=None) -> M v, with the bits of M @ v."""
-    return M.dot if M.shape[1] > 1 else partial(np.matmul, M)
+def lifted_step(Ap, Bp, Cp, Dp, Aw, Bw, Cw, Dw, Ac, Bc, Cc, Dc, Minv, F):
+    """One slow step of the loop unrolled: (A, B, C, D) of
+    x_{m+1} = A x_m + B v_m and [u_m; y_m] = C x_m + D v_m.
+
+    x stacks the plant, input-filter and controller states.  v_m stacks the
+    F samples of r in slow step m, its F samples of d, eps_h at its sample
+    instant and eps_l.  u_m and y_m stack the step's F fast samples
+    offset-major, as lift() does.  The y rows after the sample instant leave
+    out their own eps_h sample, which reaches nothing else; multirate_loop
+    adds it elementwise.
+    """
+    n_u, n_y = Bp.shape[1], Cp.shape[0]
+    sizes = (Ap.shape[0], Aw.shape[0], Ac.shape[0], F * n_u, F * n_u, n_y, n_y)
+    nx = sum(sizes[:3])
+    # every quantity below is the matrix that maps [x; v] to its value
+    xp, xw, xc, r, d, e0, el = np.split(np.eye(sum(sizes)),
+                                        np.cumsum(sizes)[:-1])
+    r, d = r.reshape(F, n_u, -1), d.reshape(F, n_u, -1)
+    # the sample instant, the loop's direct feedthrough resolved by Minv
+    y0 = Minv @ (Cp @ xp + Dp @ (r[0] + d[0] - Cw @ xw - Dw @ (Cc @ xc)
+                                 - Dw @ (Dc @ el)) + e0)
+    yl = y0 + el
+    v = Cc @ xc + Dc @ yl
+    u, y = [], [y0]
+    for i in range(F):
+        u.append(r[i] - Cw @ xw - Dw @ v)
+        p = u[i] + d[i]
+        if i:
+            y.append(Cp @ xp + Dp @ p)
+        xp = Ap @ xp + Bp @ p
+        xw = Aw @ xw + Bw @ v
+    xc = Ac @ xc + Bc @ yl
+    step, out = np.vstack((xp, xw, xc)), np.vstack(u + y)
+    return step[:, :nx], step[:, nx:], out[:, :nx], out[:, nx:]
+
+
+def _products(terms, out):
+    """out = sum of a @ M.T over the (a, M) terms, in place."""
+    (a, M), *rest = terms
+    np.matmul(a, M.T, out=out)
+    for a, M in rest:
+        out += a @ M.T
 
 
 def multirate_loop(Ap, Bp, Cp, Dp, Aw, Bw, Cw, Dw, Ac, Bc, Cc, Dc,
@@ -59,61 +92,36 @@ def multirate_loop(Ap, Bp, Cp, Dp, Aw, Bw, Cw, Dw, Ac, Bc, Cc, Dc,
     Shapes: r, d (n_fast, n_u); eps_h (n_fast, n_y); eps_l (n_slow, n_y).
     Returns (u, y, yl, status); status is the first slow step at which the
     plant state became non-finite or exceeded 1e100, or -1 if it stayed
-    bounded.  Each slow step is one hold block (see the module docstring).
+    bounded.  The loop runs as its lifted slow-rate system (see the module
+    docstring); yl is y at the sample instants plus eps_l.
     """
-    n_fast = r.shape[0]
+    A, B, C, D = lifted_step(Ap, Bp, Cp, Dp, Aw, Bw, Cw, Dw, Ac, Bc, Cc, Dc,
+                             Minv, F)
+    n_fast, n_u = r.shape
+    n_y = Cp.shape[0]
     n_slow = n_fast // F
     n_hold = n_slow * F
-    n_u = r.shape[1]
-    n_y = Cp.shape[0]
-    ap, bp, cp, dp, aw, bw, cw, dw, ac, bc, cc, dc, minv = map(
-        _product, (Ap, Bp, Cp, Dp, Aw, Bw, Cw, Dw, Ac, Bc, Cc, Dc, Minv))
-    xp, xp_next, ax, bu = (np.zeros(Ap.shape[0]) for _ in range(4))
-    xw, xc = np.zeros(Aw.shape[0]), np.zeros(Ac.shape[0])
     u = np.empty((n_fast, n_u))
     y = np.empty((n_fast, n_y))
-    yl = np.empty((n_slow, n_y))
-    cy, pin, w = np.empty(n_y), np.empty((F, n_u)), np.empty((F, n_u))
-    p0, p_rest = pin[0], pin[1:]
-    # (n_slow, F, .) views: row m is the hold block of slow step m
-    r3 = r[:n_hold].reshape(n_slow, F, n_u)
-    d3 = d[:n_hold].reshape(n_slow, F, n_u)
+    # (n_slow, F * channels) views: row m holds slow step m's samples
+    r2, d2, u2, y2 = (a[:n_hold].reshape(n_slow, -1) for a in (r, d, u, y))
     e3 = eps_h[:n_hold].reshape(n_slow, F, n_y)
-    u3 = u[:n_hold].reshape(n_slow, F, n_u)
-    y3 = y[:n_hold].reshape(n_slow, F, n_y)
-    rd0 = r3[:, 0] + d3[:, 0]
-    stateful_w = Aw.shape[0] > 0
-    status = -1
-    steps = zip(rd0, e3[:, 0], eps_l, yl, y3[:, 0], r3, d3, u3, y3[:, 1:])
-    for m, (rd_m, e0, el_m, yl_m, y0, r_m, d_m, u_m, ys) in enumerate(steps):
-        # measured output at the sampling instant, feedthrough loop resolved
-        cx = cc(xc)
-        s = rd_m - cw(xw) - dw(cx) if stateful_w else rd_m - dw(cx)
-        minv(cp(xp) + dp(s - dw(dc(el_m))) + e0, y0)
-        np.add(y0, el_m, out=yl_m)
-        v = cx + dc(yl_m)
-        # input filters over the hold: they see only the held controller
-        # output, never the plant; without states their output is constant
-        if stateful_w:
-            for w_i in w:
-                np.add(cw(xw), dw(v), out=w_i)
-                xw = aw(xw) + bw(v)
-            wm = w
-        else:
-            wm = dw(v) + 0.0
-        np.subtract(r_m, wm, out=u_m)
-        np.add(u_m, d_m, out=pin)
-        np.add(ap(xp, ax), bp(p0, bu), out=xp_next)
-        xp, xp_next = xp_next, xp
-        for y_i, p_i in zip(ys, p_rest):
-            np.add(cp(xp, cy), dp(p_i, y_i), out=y_i)
-            np.add(ap(xp, ax), bp(p_i, bu), out=xp_next)
-            xp, xp_next = xp_next, xp
-        xc = ac(xc) + bc(yl_m)
-        if not np.abs(xp).max(initial=0.0) <= 1e100:
-            status = m
-            break
-    # the output noise between sample instants, on every written block
-    done = y3[:n_slow if status < 0 else status + 1, 1:]
-    np.add(done, e3[:len(done), 1:], out=done)
+    inputs = (r2, d2, e3[:, 0], eps_l[:n_slow])
+    cuts = np.cumsum((F * n_u, F * n_u, n_y))    # B's and D's column blocks
+    X = np.empty((n_slow + 1, A.shape[0]))
+    X[0] = 0.0
+    with np.errstate(all="ignore"):     # past a tripped guard, inf and NaN
+        _products(zip(inputs, np.split(B, cuts, axis=1)), X[1:])
+        for x, x_next in zip(X, X[1:]):
+            x_next += A.dot(x)
+        for Cr, Dr, rec in zip(np.split(C, [F * n_u]), np.split(D, [F * n_u]),
+                               (u2, y2)):
+            _products([(X[:-1], Cr), *zip(inputs, np.split(Dr, cuts, axis=1))],
+                      rec)
+        # the plant state after each slow step, as the per-step guard reads it
+        bounded = np.abs(X[1:, :Ap.shape[0]]).max(axis=1, initial=0.0) <= 1e100
+        y3 = y2.reshape(n_slow, F, n_y)
+        y3[:, 1:] += e3[:, 1:]
+        yl = y3[:, 0] + eps_l[:n_slow]
+    status = int(np.argmin(bounded)) if not bounded.all() else -1
     return u, y, yl, status

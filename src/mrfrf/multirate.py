@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _accel
 from .errors import LtiError, RateError, SimulationError
 from .lti import StateSpace, dft_grid, to_state_space
 
@@ -181,25 +182,6 @@ def lift_frf(frf, factor):
     return LiftedFrf(values, F, frf.sample_time)
 
 
-class _Affine:
-    """Linear expression s = Sx @ x + Sv @ v used to unroll one slow period."""
-
-    __slots__ = ("x", "v")
-
-    def __init__(self, x, v):
-        self.x = x
-        self.v = v
-
-    def __add__(self, other):
-        return _Affine(self.x + other.x, self.v + other.v)
-
-    def __sub__(self, other):
-        return _Affine(self.x - other.x, self.v - other.v)
-
-    def left(self, M):
-        return _Affine(M @ self.x, M @ self.v)
-
-
 def loop_feedthrough(P, C, input_filters):
     """Realization W of the input filters (the identity when there are none)
     and (I + Dp Dw Dc)^-1, which resolves the loop's direct feedthrough at a
@@ -225,9 +207,12 @@ def lift_loop_state_space(plant, controller, factor, input_filters=None):
 
     Inputs are the lifted excitation (F*n_u channels) followed by the lifted
     fast output noise (F*n_y channels); outputs are the lifted plant input
-    (F*n_u) followed by the slow-rate output (n_y).  Composing the F fast
-    steps of one slow period collapses the period-F time-varying loop into a
-    single time-invariant system whose FRF equals the lifted closed-loop maps.
+    (F*n_u) followed by the slow-rate output without run-out (n_y).
+    Composing the F fast steps of one slow period collapses the period-F
+    time-varying loop into a single time-invariant system whose FRF equals
+    the lifted closed-loop maps.  It is the slow step that the simulator
+    runs (``_accel.lifted_step``), without the disturbance and run-out
+    inputs and the fast output after the sample instant.
 
     Raises SimulationError naming the spectral radius if the loop is unstable.
     """
@@ -240,51 +225,18 @@ def lift_loop_state_space(plant, controller, factor, input_filters=None):
     if abs(C.sample_time - F * P.sample_time) > 1e-12 * C.sample_time:
         raise RateError("controller must run at F times the plant sample time")
     W, minv = loop_feedthrough(P, C, input_filters)
+    A, B, Cm, Dm = _accel.lifted_step(P.A, P.B, P.C, P.D, W.A, W.B, W.C, W.D,
+                                      C.A, C.B, C.C, C.D, minv, F)
+    n_r, n_out = F * nu, F * nu + ny    # the rows of u and of y at the instant
 
-    n_p, n_w, n_c = P.n_states, W.n_states, C.n_states
-    nx = n_p + n_w + n_c
-    nv = F * nu + F * ny
+    def r_and_eps_h(M):
+        """The columns of r and eps_h; eps_h after the sample instant never
+        reaches u, the sampled y or the state, so its columns are zero."""
+        return np.hstack([M[:, :n_r], M[:, 2 * n_r:2 * n_r + ny],
+                          np.zeros((M.shape[0], (F - 1) * ny))])
 
-    def state_sel(a, b):
-        S = np.zeros((b - a, nx))
-        S[:, a:b] = np.eye(b - a)
-        return _Affine(S, np.zeros((b - a, nv)))
-
-    def input_sel(a, b):
-        S = np.zeros((b - a, nv))
-        S[:, a:b] = np.eye(b - a)
-        return _Affine(np.zeros((b - a, nx)), S)
-
-    xp = state_sel(0, n_p)
-    xw = state_sel(n_p, n_p + n_w)
-    xc = state_sel(n_p + n_w, nx)
-    r0 = input_sel(0, nu)
-    e0 = input_sel(F * nu, F * nu + ny)
-
-    # measured output at the sampling instant; the feedthrough loop through
-    # plant, filters, and controller is resolved in closed form
-    pre = (xp.left(P.C) + r0.left(P.D) + e0
-           - xw.left(P.D @ W.C) - xc.left(P.D @ W.D @ C.C))
-    y0 = pre.left(minv)
-    v = xc.left(C.C) + y0.left(C.D)
-
-    # output noise at the unsampled offsets never reaches the loop, so only
-    # the block-0 noise columns are nonzero in the lifted maps
-    u_rows = []
-    for i in range(F):
-        ri = input_sel(i * nu, (i + 1) * nu)
-        w_i = xw.left(W.C) + v.left(W.D)
-        u_i = ri - w_i
-        u_rows.append(u_i)
-        xp = xp.left(P.A) + u_i.left(P.B)
-        xw = xw.left(W.A) + v.left(W.B)
-    xc = xc.left(C.A) + y0.left(C.B)
-
-    A = np.vstack([xp.x, xw.x, xc.x])
-    B = np.vstack([xp.v, xw.v, xc.v])
-    Cm = np.vstack([np.vstack([u.x for u in u_rows]), y0.x])
-    Dm = np.vstack([np.vstack([u.v for u in u_rows]), y0.v])
-    slow = StateSpace(A, B, Cm, Dm, F * P.sample_time)
+    slow = StateSpace(A, r_and_eps_h(B), Cm[:n_out], r_and_eps_h(Dm[:n_out]),
+                      F * P.sample_time)
     radius = slow.spectral_radius()
     if radius >= 1.0:
         raise SimulationError(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mrfrf import _accel
 from mrfrf.errors import LtiError, SimulationError
 from mrfrf.loopsim import (MultirateLoopSpec, NoiseSpec, benchmark_loop,
                            simulate, surrogate_plant)
@@ -61,6 +62,29 @@ def test_slow_output_is_sampled_fast_output_plus_runout():
     noiseless = simulate(MultirateLoopSpec(plant, ctrl, F), r, periods=1,
                          seed=5)
     assert np.array_equal(noiseless.y_l.data, noiseless.y_h.data[:, ::F])
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3, 4])
+def test_benchmark_slow_output_is_sampled_fast_output_plus_runout(
+        factor, monkeypatch):
+    """On the benchmark loop with all three noise sources, y_l is y_h at
+    the sample instants plus the run-out the kernel was given, bit for bit."""
+    loop = benchmark_loop(noise=NoiseSpec(eh_std=1e-9, el_std=1e-10,
+                                          dh_std=1e-9), factor=factor)
+    r = multisine(MultisineSpec(2, 360, loop.plant.sample_time,
+                                (3.6e-9, 8.0e-8), seed=9))
+    kernel, runouts = _accel.multirate_loop, []
+
+    def spy(*args):
+        runouts.append(args[-1])
+        return kernel(*args)
+
+    monkeypatch.setattr(_accel, "multirate_loop", spy)
+    sim = simulate(loop, r, periods=2, seed=7)
+    eps_l = runouts[0].T
+    assert np.abs(eps_l).max() > 0.0
+    want = sim.y_h.data[:, ::factor] + eps_l
+    assert sim.y_l.data.tobytes() == want.tobytes()
 
 
 def test_seeded_runs_bit_identical():
