@@ -11,8 +11,9 @@ slow step into x_{m+1} = A x_m + B v_m, [u_m; y_m] = C x_m + D v_m, and
 comes from whole-record matrix products, so the sequential part is one
 matrix-vector product and one add per slow step; u and y follow from X in
 whole-record products too.  The records agree with the per-fast-step
-recursion (the reference of ``tests/test_kernels.py``) to rounding, about
-1e-13 of their peak, not bit for bit; they are the same bits on every run.
+recursion (the reference of ``tests/test_kernels.py``) to rounding, at most
+about 2e-13 of their peak on the benchmark loops, not bit for bit; they are
+the same bits on every run.
 """
 
 import numpy as np
