@@ -1,16 +1,13 @@
-"""The two sequential recursions that dominate simulation runtime, in numpy.
+"""The one sequential recursion of the simulator, in numpy.
 
-``ss_filter`` runs a state-space system over a sampled signal and
-``multirate_loop`` runs the multirate feedback loop; both accept systems
-without states (zero-size A, B, C).
-
-Over one slow step the period-F loop is a time-invariant system
-(Bittanti & Colaneri, *Periodic Systems*, 2009): ``lifted_step`` unrolls one
-slow step into x_{m+1} = A x_m + B v_m, [u_m; y_m] = C x_m + D v_m, and
-``multirate_loop`` runs that system.  The inputs' share B v_m of every step
-comes from whole-record matrix products, so the sequential part is one
-matrix-vector product and one add per slow step; u and y follow from X in
-whole-record products too.  The records agree with the per-fast-step
+``ss_filter`` runs a state-space system x_{n+1} = A x_n + B v_n,
+y_n = C x_n + D v_n from rest over a record v.  B v and y come from
+whole-record matrix products, so the sequential part is one matrix-vector
+product and one add per sample.  ``lti.filter_signal`` calls it at the
+system's own rate, and ``multirate_loop`` at the slow rate: over one slow step
+the period-F loop is a time-invariant system (Bittanti & Colaneri, *Periodic
+Systems*, 2009), which ``lifted_step`` unrolls.  Both accept systems without
+states (zero-size A, B, C).  The loop's records agree with the per-fast-step
 recursion (the reference of ``tests/test_kernels.py``) to rounding, at most
 about 2e-13 of their peak on the benchmark loops, not bit for bit; they are
 the same bits on every run.
@@ -22,19 +19,18 @@ import numpy as np
 NUMBA_ENABLED = False
 
 
-def ss_filter(A, B, C, D, u, x0):
-    """State-space recursion x+ = Ax + Bu, y = Cx + Du.
-
-    u has shape (n_samples, n_in); returns y with shape (n_samples, n_out).
-    """
-    n_samples = u.shape[0]
-    y = np.empty((n_samples, C.shape[0]))
-    x = x0.copy()
-    for n in range(n_samples):
-        un = u[n]
-        y[n] = C @ x + D @ un
-        x = A @ x + B @ un
-    return y
+def ss_filter(A, B, C, D, v):
+    """Run x_{n+1} = A x_n + B v_n, y_n = C x_n + D v_n from x_0 = 0 over
+    the rows of v.  Returns the state trajectory X (rows x_0 ... x_N) and y,
+    one row per row of v."""
+    X = np.empty((v.shape[0] + 1, A.shape[0]))
+    X[0] = 0.0
+    np.matmul(v, B.T, out=X[1:])
+    for x, x_next in zip(X, X[1:]):
+        x_next += A.dot(x)
+    y = X[:-1] @ C.T
+    y += v @ D.T
+    return X, y
 
 
 def lifted_step(Ap, Bp, Cp, Dp, Aw, Bw, Cw, Dw, Ac, Bc, Cc, Dc, Minv, F):
@@ -73,14 +69,6 @@ def lifted_step(Ap, Bp, Cp, Dp, Aw, Bw, Cw, Dw, Ac, Bc, Cc, Dc, Minv, F):
     return step[:, :nx], step[:, nx:], out[:, :nx], out[:, nx:]
 
 
-def _products(terms, out):
-    """out = sum of a @ M.T over the (a, M) terms, in place."""
-    (a, M), *rest = terms
-    np.matmul(a, M.T, out=out)
-    for a, M in rest:
-        out += a @ M.T
-
-
 def multirate_loop(Ap, Bp, Cp, Dp, Aw, Bw, Cw, Dw, Ac, Bc, Cc, Dc,
                    Minv, F, r, eps_h, d, eps_l):
     """One run of the multirate feedback recursion.
@@ -102,26 +90,20 @@ def multirate_loop(Ap, Bp, Cp, Dp, Aw, Bw, Cw, Dw, Ac, Bc, Cc, Dc,
     n_y = Cp.shape[0]
     n_slow = n_fast // F
     n_hold = n_slow * F
-    u = np.empty((n_fast, n_u))
-    y = np.empty((n_fast, n_y))
-    # (n_slow, F * channels) views: row m holds slow step m's samples
-    r2, d2, u2, y2 = (a[:n_hold].reshape(n_slow, -1) for a in (r, d, u, y))
     e3 = eps_h[:n_hold].reshape(n_slow, F, n_y)
-    inputs = (r2, d2, e3[:, 0], eps_l[:n_slow])
-    cuts = np.cumsum((F * n_u, F * n_u, n_y))    # B's and D's column blocks
-    X = np.empty((n_slow + 1, A.shape[0]))
-    X[0] = 0.0
+    # row m holds slow step m's inputs in lifted_step's order
+    v = np.hstack((r[:n_hold].reshape(n_slow, -1),
+                   d[:n_hold].reshape(n_slow, -1), e3[:, 0], eps_l[:n_slow]))
     with np.errstate(all="ignore"):     # past a tripped guard, inf and NaN
-        _products(zip(inputs, np.split(B, cuts, axis=1)), X[1:])
-        for x, x_next in zip(X, X[1:]):
-            x_next += A.dot(x)
-        for Cr, Dr, rec in zip(np.split(C, [F * n_u]), np.split(D, [F * n_u]),
-                               (u2, y2)):
-            _products([(X[:-1], Cr), *zip(inputs, np.split(Dr, cuts, axis=1))],
-                      rec)
+        X, out = ss_filter(A, B, C, D, v)
         # the plant state after each slow step, as the per-step guard reads it
         bounded = np.abs(X[1:, :Ap.shape[0]]).max(axis=1, initial=0.0) <= 1e100
-        y3 = y2.reshape(n_slow, F, n_y)
+        # allocated after the runner so as not to add to its memory peak
+        u = np.empty((n_fast, n_u))
+        y = np.empty((n_fast, n_y))
+        u[:n_hold].reshape(n_slow, -1)[:] = out[:, :F * n_u]
+        y3 = y[:n_hold].reshape(n_slow, F, n_y)
+        y3[:] = out[:, F * n_u:].reshape(n_slow, F, n_y)
         y3[:, 1:] += e3[:, 1:]
         yl = y3[:, 0] + eps_l[:n_slow]
     status = int(np.argmin(bounded)) if not bounded.all() else -1

@@ -321,8 +321,8 @@ def scenario_from_dict(doc):
                   dh_std=_field(nd, "dh_std", float, 0.0, "noise."),
                   dh_channel=_field(nd, "dh_channel", int, 1, "noise."),
                   shaping=shaping)
-    loop = _spec("plant/controller/filters/F", MultirateLoopSpec, plant,
-                 controller, factor, input_filters=filters, noise=noise)
+    loop = _spec("plant/controller/filters/noise/F", MultirateLoopSpec,
+                 plant, controller, factor, input_filters=filters, noise=noise)
     if ("dh_channel" in nd or noise.dh_std > 0) and \
             not 0 <= noise.dh_channel < loop.n_inputs:
         raise ConfigError(f"scenario field 'noise.dh_channel' names input "

@@ -52,12 +52,15 @@ class MultirateLoopSpec:
             raise RateError("controller sample time must be factor * plant's")
         if c.n_inputs != p.n_outputs or c.n_outputs != p.n_inputs:
             raise LtiError("controller must map plant outputs to plant inputs")
-        if self.input_filters is not None:
-            w = self.input_filters
+        for w, what, n, side in (
+                (self.input_filters, "input filters", p.n_inputs, "inputs"),
+                (self.noise.shaping, "noise shaping", p.n_outputs, "outputs")):
+            if w is None:
+                continue
             if abs(w.sample_time - p.sample_time) > 1e-15 * p.sample_time:
-                raise RateError("input filters must run at the fast rate")
-            if w.n_inputs != p.n_inputs or w.n_outputs != p.n_inputs:
-                raise LtiError("input filters must be square in the plant inputs")
+                raise RateError(f"{what} must run at the fast rate")
+            if w.n_inputs != n or w.n_outputs != n:
+                raise LtiError(f"{what} must be square in the plant {side}")
 
     @property
     def n_inputs(self):
@@ -121,7 +124,7 @@ def simulate(spec, r_h, periods=1, seed=0):
             shaped = filter_signal(spec.noise.shaping,
                                    SignalRecord(e, P.sample_time, FAST))
             e = shaped.data
-        eps_h = np.ascontiguousarray(e.T)
+        eps_h = e.T
     d = np.zeros((n_fast, nu))
     if spec.noise.dh_std > 0:
         ch = spec.noise.dh_channel
@@ -130,17 +133,11 @@ def simulate(spec, r_h, periods=1, seed=0):
         d[:, ch] = spec.noise.dh_std * rng_dh.standard_normal(n_fast)
     eps_l = np.zeros((n_slow, ny))
     if spec.noise.el_std > 0:
-        eps_l = np.ascontiguousarray(
-            spec.noise.el_std * rng_el.standard_normal((ny, n_slow)).T
-        )
-
-    def matrices(ss):
-        return tuple(np.ascontiguousarray(M) for M in (ss.A, ss.B, ss.C, ss.D))
+        eps_l = spec.noise.el_std * rng_el.standard_normal((ny, n_slow)).T
 
     u, y, yl, status = _accel.multirate_loop(
-        *matrices(P), *matrices(W), *matrices(C),
-        np.ascontiguousarray(minv), F,
-        np.ascontiguousarray(r.T), eps_h, d, eps_l,
+        P.A, P.B, P.C, P.D, W.A, W.B, W.C, W.D, C.A, C.B, C.C, C.D,
+        minv, F, r.T, eps_h, d, eps_l,
     )
     if status >= 0:
         raise SimulationError(
@@ -150,10 +147,9 @@ def simulate(spec, r_h, periods=1, seed=0):
     ts = P.sample_time
     return SimulationOutput(
         r_h=SignalRecord(r, ts, FAST, n_periods=periods),
-        u_h=SignalRecord(np.ascontiguousarray(u.T), ts, FAST, n_periods=periods),
-        y_h=SignalRecord(np.ascontiguousarray(y.T), ts, FAST, n_periods=periods),
-        y_l=SignalRecord(np.ascontiguousarray(yl.T), ts * F, SLOW,
-                         n_periods=periods),
+        u_h=SignalRecord(u.T, ts, FAST, n_periods=periods),
+        y_h=SignalRecord(y.T, ts, FAST, n_periods=periods),
+        y_l=SignalRecord(yl.T, ts * F, SLOW, n_periods=periods),
         seed=seed,
     )
 

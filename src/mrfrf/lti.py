@@ -313,11 +313,9 @@ def filter_signal(sys, record):
             f"channel count {record.n_channels} does not match "
             f"system inputs {ss.n_inputs}"
         )
-    A, B, C, D = (np.ascontiguousarray(M) for M in (ss.A, ss.B, ss.C, ss.D))
-    u = np.ascontiguousarray(record.data.T)
-    y = _accel.ss_filter(A, B, C, D, u, np.zeros(ss.n_states))
-    return SignalRecord(np.ascontiguousarray(y.T), record.sample_time,
-                        record.rate_tag, n_periods=record.n_periods)
+    _, y = _accel.ss_filter(ss.A, ss.B, ss.C, ss.D, record.data.T)
+    return SignalRecord(y.T, record.sample_time, record.rate_tag,
+                        n_periods=record.n_periods)
 
 
 # --- JSON system format -----------------------------------------------------

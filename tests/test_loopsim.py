@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,34 @@ def test_disturbance_enters_named_channel_only():
     assert np.abs(sim.y_h.data).max() > 0.0
 
 
+def test_noise_shaping_delays_and_scales_the_output_noise():
+    # under a zero controller the output noise does not reach the plant, so a
+    # shaped run's output is the noiseless one plus H applied to the output
+    # noise of an unshaped run from the same seed
+    rng = np.random.default_rng(6)
+    plant = random_stable_plant(rng, 2, 1, order=2, sample_time=TS)
+    ctrl = RationalTF.static_gain(np.zeros((1, 2)), F * TS)
+    r = multisine(MultisineSpec(1, 120, TS, (1.0,), seed=8))
+    clean = simulate(MultirateLoopSpec(plant, ctrl, F), r, periods=2).y_h.data
+
+    def output_noise(shaping):
+        noise = NoiseSpec(eh_std=0.1, shaping=shaping)
+        loop = MultirateLoopSpec(plant, ctrl, F, noise=noise)
+        return simulate(loop, r, periods=2, seed=4).y_h.data - clean
+
+    e = output_noise(None)
+    tol = 1e-14 * np.abs(clean).max()
+    assert np.abs(e).max() > 1e3 * tol
+    unit_delay = RationalTF((((0.0, 1.0), (0.0,)), ((0.0,), (0.0, 1.0))),
+                            (((1.0,), (1.0,)), ((1.0,), (1.0,))), TS)
+    delayed = output_noise(unit_delay)
+    assert np.abs(delayed[:, 0]).max() <= tol
+    assert np.abs(delayed[:, 1:] - e[:, :-1]).max() <= tol
+    gain = np.array([[2.0, 0.5], [0.0, -1.5]])
+    scaled = output_noise(RationalTF.static_gain(gain, TS))
+    assert np.abs(scaled - gain @ e).max() <= tol
+
+
 def test_instability_guard_overflows():
     plant = RationalTF.siso([0.0, 2.0], [1.0], TS)
     ctrl = RationalTF.static_gain([[-1.5]], F * TS)  # positive feedback
@@ -222,9 +252,11 @@ def test_input_filters_reconstruction_identity():
 
 
 def test_filters_in_oracle_and_prediction():
-    # with fast-rate input filters in the loop, the simulator, the lifted
-    # state-space realization, and the folded frequency-domain prediction all
-    # agree in periodic steady state
+    # with fast-rate input filters in the loop, the simulator and the lifted
+    # state-space realization each agree with the folded frequency-domain
+    # prediction in periodic steady state.  Both unroll the slow step with
+    # _accel.lifted_step, so they are not compared with each other; the
+    # realization's u is checked against the reconstruction identity instead
     rng = np.random.default_rng(13)
     n = 240
     plant = random_stable_plant(rng, 1, 2, order=2, sample_time=TS)
@@ -237,19 +269,18 @@ def test_filters_in_oracle_and_prediction():
     r = multisine(MultisineSpec(2, n, TS, (1.0, 0.6), seed=14))
     periods = 6
     sim = simulate(loop, r, periods=periods, seed=0)
+    assert simulator_oracle_error(loop, sim) < 1e-8
     # lifted state-space realization driven by the same lifted excitation
     oracle = lift_loop_state_space(plant, CTRL, F, input_filters=filt)
     stacked = np.vstack([lift(sim.r_h, F), np.zeros((F, periods * n // F))])
     resp = filter_signal(oracle, SignalRecord(stacked, F * TS, SLOW))
-    m = n // F
-    got_u = resp.data[:2 * F, -m:]
-    want_u = lift(sim.u_h.period(-1), F)
+    y_l = SignalRecord(resp.data[2 * F:], F * TS, SLOW, n_periods=periods)
+    run = SimpleNamespace(r_h=sim.r_h, y_l=y_l)
+    assert simulator_oracle_error(loop, run) < 1e-8
+    w = filter_signal(filt, upsample_zoh(filter_signal(CTRL, y_l), F))
+    want_u = lift(SignalRecord(sim.r_h.data - w.data, TS), F)
     scale = max(1.0, np.abs(want_u).max())
-    assert np.abs(got_u - want_u).max() < 1e-9 * scale
-    got_yl = resp.data[2 * F, -m:]
-    assert np.abs(got_yl - sim.y_l.period(-1).data[0]).max() < 1e-9 * scale
-    # folded frequency-domain prediction with the filter response included
-    assert simulator_oracle_error(loop, sim) < 1e-8
+    assert np.abs(resp.data[:2 * F] - want_u).max() < 1e-12 * scale
 
 
 def test_surrogate_frf_values_pinned():

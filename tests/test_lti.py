@@ -130,6 +130,20 @@ def test_filter_linearity():
     assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(lhs).max())
 
 
+def test_filter_matches_lfilter_on_a_two_by_two_plant():
+    # an IIR reference independent of the state-space recursion: each output
+    # is the sum over inputs of scipy's direct-form filter of its entry
+    signal = pytest.importorskip("scipy.signal")
+    ts = 1e-3
+    rng = np.random.default_rng(8)
+    sys = random_stable_plant(rng, 2, 2, order=4, sample_time=ts)
+    u = rng.standard_normal((2, 500))
+    y = filter_signal(sys, SignalRecord(u, ts)).data
+    ref = np.array([sum(signal.lfilter(sys.num[i][j], sys.den[i][j], u[j])
+                        for j in range(2)) for i in range(2)])
+    assert np.abs(y - ref).max() < 1e-12 * np.abs(ref).max()
+
+
 def test_filter_rate_mismatch():
     sys = RationalTF.static_gain(1.0, 1e-3)
     with pytest.raises(LtiError, match="rate mismatch"):
