@@ -353,19 +353,17 @@ def test_disturbance_channel_out_of_range_exit_code_2(tmp_path, capsys,
     assert "noise.dh_channel" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("shaping, message", [
+@pytest.mark.parametrize("gain, ts, message", [
     # two outputs for the one-output plant
-    (([[1.0], [1.0]], None), "noise shaping must be square in the plant "
-                             "outputs"),
-    ((1.0, 1e-3), "noise shaping must run at the fast rate"),
+    ([[1.0], [1.0]], None, "noise shaping must be square in the plant outputs"),
+    (1.0, 1e-3, "noise shaping must run at the fast rate"),
 ], ids=["shape", "rate"])
 def test_noise_shaping_of_another_shape_or_rate_exit_code_2(
-        tmp_path, capsys, shaping, message):
+        tmp_path, capsys, gain, ts, message):
     from mrfrf.bench import build_benchmark_scenario
     from mrfrf.lti import RationalTF, system_to_dict
 
     doc = mio.scenario_to_dict(build_benchmark_scenario("default"))
-    gain, ts = shaping
     H = RationalTF.static_gain(gain, ts or doc["ts"])
     doc["noise"].update(eh_std=1e-9, H=system_to_dict(H))
     path = tmp_path / "scenario.json"
