@@ -172,37 +172,23 @@ def identify(u_h, r_h, y_l, factor, config):
 
     half = m // 2 + 1
     fits = sweep_bins(Z, R, range(half), config)
-    nrf = nu * F
-    sens = np.empty((m, nrf, nrf), dtype=complex)
-    ps_row = np.empty((m, ny, nrf), dtype=complex)
-    residual = np.empty(m)
-    fit_cond = np.empty(m)
-    fallback = np.zeros(m, dtype=bool)
-    failed = np.zeros(m, dtype=bool)
-    messages = {}
-    for fit in fits:
-        k = fit.center_bin
-        sens[k] = fit.response[:nrf]
-        ps_row[k] = fit.response[nrf:]
-        residual[k] = fit.residual
-        fit_cond[k] = fit.condition
-        fallback[k] = fit.fallback
-        if fit.failed:
-            failed[k] = True
-            messages[k] = fit.error
-    # real records: the upper half of the grid mirrors the fitted half
-    upper = np.arange(half, m)
-    sens[upper] = sens[m - upper].conj()
-    ps_row[upper] = ps_row[m - upper].conj()
-    for values in (residual, fit_cond, fallback, failed):
-        values[upper] = values[m - upper]
-    for j in upper.tolist():
-        k = m - j
-        if k in messages:
-            messages[j] = f"mirror of bin {k}: {messages[k]}"
-        if fallback[k]:
-            warnings.warn(f"mirror of bin {k}: bin {j} is falling back to "
-                          f"a polynomial model", RuntimeWarning, stacklevel=2)
+    # real records: bin j takes its fit at min(j, m - j), conjugated on the
+    # upper half of the grid
+    fitted = np.minimum(np.arange(m), m - np.arange(m))
+    response = np.array([fit.response for fit in fits])[fitted]
+    np.conj(response[half:], out=response[half:])
+    sens, ps_row = response[:, :nu * F], response[:, nu * F:]
+    residual, fit_cond, fallback, failed = (
+        np.array(values)[fitted] for values in zip(
+            *[(fit.residual, fit.condition, fit.fallback, fit.failed)
+              for fit in fits]))
+    messages = {j: fits[k].error if j < half else
+                f"mirror of bin {k}: {fits[k].error}"
+                for j, k in zip(np.flatnonzero(failed).tolist(),
+                                fitted[failed].tolist())}
+    for j in (np.flatnonzero(fallback[half:]) + half).tolist():
+        warnings.warn(f"mirror of bin {m - j}: bin {j} is falling back to "
+                      f"a polynomial model", RuntimeWarning, stacklevel=2)
 
     lifted_row, sens_cond, sing = first_row_lifted_P(sens, ps_row)
     failed |= sing

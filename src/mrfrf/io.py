@@ -13,7 +13,7 @@ import numpy as np
 from .bench import (BENCH_FACTOR, BENCH_RMS, BENCH_SAMPLES, BenchmarkScenario,
                     build_benchmark_scenario)
 from .errors import (ConfigError, DataFormatError, LocalFitError, LtiError,
-                     RateError)
+                     RateError, SimulationError)
 from .ident import SENS_CONDITION_LIMIT
 from .lrm import LocalModelConfig
 from .loopsim import (FAST_SAMPLE_TIME, MultirateLoopSpec, NoiseSpec,
@@ -255,7 +255,7 @@ def _spec(section, build, *args, **kwargs):
     ConfigError naming the scenario section."""
     try:
         return build(*args, **kwargs)
-    except (LocalFitError, LtiError, RateError) as e:
+    except (LocalFitError, LtiError, RateError, SimulationError) as e:
         raise ConfigError(f"scenario section {section!r} is invalid: "
                           f"{e}") from None
 

@@ -15,7 +15,8 @@ from . import _accel
 from .errors import LtiError, RateError, SimulationError
 from .lti import (RationalTF, assert_stable, benchmark_controller,
                   filter_signal, to_state_space)
-from .multirate import FAST, SLOW, SignalRecord, loop_feedthrough
+from .multirate import (FAST, SLOW, SignalRecord, lift_loop_state_space,
+                        loop_feedthrough)
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,11 @@ class MultirateLoopSpec:
                 raise RateError(f"{what} must run at the fast rate")
             if w.n_inputs != n or w.n_outputs != n:
                 raise LtiError(f"{what} must be square in the plant {side}")
+        for w, what in ((p, "plant"), (self.input_filters, "input filters"),
+                        (self.noise.shaping, "noise shaping")):
+            if w is not None:
+                assert_stable(w, what)
+        lift_loop_state_space(p, c, self.factor, self.input_filters)
 
     @property
     def n_inputs(self):
@@ -102,11 +108,6 @@ def simulate(spec, r_h, periods=1, seed=0):
         raise RateError("excitation sample time must match the plant")
     if r_h.n_samples % F:
         raise RateError("period length must be divisible by the factor")
-    assert_stable(spec.plant, "plant")
-    if spec.input_filters is not None:
-        assert_stable(spec.input_filters, "input filters")
-    if spec.noise.shaping is not None:
-        assert_stable(spec.noise.shaping, "noise shaping")
     W, minv = loop_feedthrough(P, C, spec.input_filters)
 
     n_fast = r_h.n_samples * periods

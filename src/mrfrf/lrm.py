@@ -27,17 +27,22 @@ scaled regressor: its rank counts those above max(W, n) eps s_max (W window
 rows, n columns), and its condition cond_2 is s_max over the smallest
 counted one.  Both only decide which side of a threshold cond_2 is on, so a
 cheap bound settles them first: cond_F = ||T_i||_F ||T_i^-1||_F, from the
-block inverse of T_i, satisfies cond_2 <= cond_F <= n cond_2 (Higham,
-Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 6).
-A row with cond_F at most L = min(condition_threshold, 1/(max(W, n) eps)) / 2
-is full rank and no fallback, and reports cond_F; only the other rows take
-an SVD of T_i for their rank and exact cond_2.  The reported condition is
-thus an upper bound within a factor n at or below L and exact above it, and
-every rank, fallback and estimate is the one the SVD alone would give.
-Full-rank rows are solved by back-substitution.  A rank-deficient row takes
-the minimum-norm solution from an SVD of T_i; in-model data makes the
-denominator columns dependent while the center estimates stay unique, so
-that solution is accepted only when the null space has no component on them.
+block inverse of T_i (R11^-1 per bin; R22_i^-1 and X_i =
+R11^-1 Q1^H A2_i R22_i^-1 per row), satisfies cond_2 <= cond_F <= n cond_2
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
+ch. 6).  A row with cond_F at most L = min(condition_threshold,
+1/(max(W, n) eps)) / 2 is full rank and no fallback, and reports cond_F;
+only the other rows take an SVD of T_i for their rank and exact cond_2.  The
+reported condition is thus an upper bound within a factor n at or below L
+and exact above it, and every rank, fallback and estimate is the one the SVD
+alone would give.  The inverse that certifies a row also solves it, from its
+projected data c: theta_2 = R22_i^-1 c_2 and theta_1 = R11^-1 c_1 - X_i c_2.
+A triangle with an exact zero on its diagonal has no inverse and sends only
+its own row (R22_i) or bin (R11) to the SVD.  A rank-deficient row, or one
+without an inverse, takes the minimum-norm solution from an SVD of T_i;
+in-model data makes the denominator columns dependent while the center
+estimates stay unique, so that solution is accepted only when the null
+space has no component on them.
 
 sweep_bins solves blocks of _BLOCK = 6 bins with stacked LAPACK calls,
 which factor every matrix of a stack on its own: a bin's result does not
@@ -164,22 +169,27 @@ def _sq_norm(a):
     return np.vecdot(flat, flat).real
 
 
-def _frobenius_condition(R11, top, R22):
+def _triangle_inverse(T):
+    """Inverses of the upper triangles in the stack T, NaN for a singular
+    one: LU does not pivot an upper triangle, so an exact zero on its
+    diagonal is the only singularity it can report."""
+    singular = (np.diagonal(T, axis1=-2, axis2=-1) == 0).any(axis=-1)
+    inv = np.linalg.inv(np.where(singular[..., None, None],
+                                 np.eye(T.shape[-1]), T))
+    inv[singular] = np.nan
+    return inv
+
+
+def _frobenius_condition(inv11, X, inv22):
     """cond_F = ||T_i||_F ||T_i^-1||_F of each row's factor (B, n_z).
 
     The columns of T_i have unit norm, so ||T_i||_F^2 = n, and T_i^-1 is
-    [[R11^-1, -R11^-1 top_i R22_i^-1], [0, R22_i^-1]]: one inverse per bin
-    and one per row.  cond_2 <= cond_F <= n cond_2.  An exactly singular
-    triangle in the block leaves every row uncertified (inf).
+    [[R11^-1, -X_i], [0, R22_i^-1]] with X_i = R11^-1 top_i R22_i^-1.
+    cond_2 <= cond_F <= n cond_2.  A singular triangle (a NaN inverse) leaves
+    only its own row, or for R11 its own bin, uncertified (NaN).
     """
-    n = R11.shape[-1] + R22.shape[-1]
-    try:
-        inv11 = np.linalg.inv(R11)
-        inv22 = np.linalg.inv(R22)
-    except np.linalg.LinAlgError:
-        return np.full(top.shape[:2], np.inf)
+    n = inv11.shape[-1] + inv22.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        X = (inv11[:, None] @ top) @ inv22
         return np.sqrt(n * (_sq_norm(inv11)[:, None] + _sq_norm(X)
                             + _sq_norm(inv22)))
 
@@ -245,12 +255,20 @@ def _solve(Z, R, ks, config):
     R2 = np.linalg.qr(trail, mode="r")
     res_sq = np.sum(np.abs(R2[..., rd:, rd]) ** 2, axis=-1)
     R2 = R2[..., :rd, :]
+    # T_i^-1 certifies each row and solves it (module doc)
+    inv11, inv22 = _triangle_inverse(R11), _triangle_inverse(R2[..., :rd])
+    c1, c2 = top[..., rd], R2[..., :rd, rd, None]
+    theta = np.empty((B, n_z, n), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = (inv11[:, None] @ top[..., :rd]) @ inv22
+        theta[..., n1:] = (inv22 @ c2)[..., 0]
+        theta[..., :n1] = c1 @ inv11.swapaxes(1, 2) - (X @ c2)[..., 0]
     # a row whose cond_F clears both thresholds, with a factor 2 for the
     # rounding of cond_F and cond_2, is full rank and no fallback; only the
     # other rows take the SVD for their rank and exact condition
     eps = np.finfo(float).eps
     bound = min(config.condition_threshold, 1.0 / (max(W, n) * eps)) / 2
-    cond = _frobenius_condition(R11, top[..., :rd], R2[..., :rd])
+    cond = _frobenius_condition(inv11, X, inv22)
     rank = np.full(cond.shape, n)
     doubt = ~(cond <= bound)
     if doubt.any():
@@ -262,16 +280,9 @@ def _solve(Z, R, ks, config):
         some = r > 0
         c[some] = s[some, 0] / s[some, r[some] - 1]
         rank[doubt], cond[doubt] = r, c
-    # back-substitution for the full-rank rows: R22_i first, then one solve
-    # with R11 for every row of the bin
-    full = rank == n
-    theta = np.zeros((B, n_z, n), dtype=complex)
-    theta[full, n1:] = np.linalg.solve(R2[full][..., :rd],
-                                       R2[full][..., rd:])[..., 0]
-    live = full.any(axis=-1)
-    rhs = top[..., rd] - (top[..., :rd] @ theta[..., n1:, None])[..., 0]
-    theta[live, :, :n1] = np.linalg.solve(
-        R11[live], rhs[live].swapaxes(1, 2)).swapaxes(1, 2)
+    # a full-rank row keeps theta from the inverses; a row without them (a
+    # singular triangle) takes the SVD's solution whatever rank it counts
+    full = (rank == n) & np.isfinite(theta).all(axis=-1)
     # rank-deficient rows: the minimum-norm solution, whose residual adds c off
     # T_i's range, is accepted only if the null space spares the estimates
     watched = list(range(n_r)) + [n_r * (rn + 1)]
@@ -282,7 +293,7 @@ def _solve(Z, R, ks, config):
             _factor(R11[b], top[b, i, :, :rd], R2[b, i, :, :rd]))
         c = np.concatenate([top[b, i, :, rd], R2[b, i, :, rd]])
         theta[b, i] = vh[:r].conj().T @ ((u[:, :r].conj().T @ c) / sv[:r])
-        leak[b, i] = np.abs(vh[r:][:, watched]).max() if r else 1.0
+        leak[b, i] = np.abs(vh[r:, watched]).max(initial=0.0) if r else 1.0
         res_sq[b, i] += np.linalg.norm(u[:, r:].conj().T @ c) ** 2
 
     theta[..., :n1] /= s1

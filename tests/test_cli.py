@@ -375,6 +375,46 @@ def test_noise_shaping_of_another_shape_or_rate_exit_code_2(
     assert message in err
 
 
+def _system(num, den, ts, shape):
+    return {"num": num, "den": den, "ts": ts, "shape": shape}
+
+
+_TS = 1.0 / 100800.0
+_UNSTABLE = {
+    # 1/(z - 0.5) on both inputs under a static 0.5 on both: each factor is
+    # stable, the lifted closed-loop step has spectral radius 1.25
+    "loop": ({"plant": _system([[0.0, 1.0], [0.0, 1.0]],
+                               [[1.0, -0.5], [1.0, -0.5]], _TS, [1, 2]),
+              "controller": _system([[0.5], [0.5]], [[1.0], [1.0]], 2 * _TS,
+                                    [2, 1]),
+              "periods": 2, "excitation": {"n_samples": 600}},
+             "closed loop is unstable: spectral radius 1.250000"),
+    "plant": ({"plant": _system([[1.0]], [[1.0, -1.2]], _TS, [1, 1]),
+               "controller": _system([[0.1]], [[1.0]], 2 * _TS, [1, 1])},
+              "plant is not strictly stable (pole radius 1.2"),
+    "H": ({"plant": {"preset": "hdd-dual-stage"},
+           "controller": {"preset": "benchmark"},
+           "noise": {"eh_std": 1e-9,
+                     "H": _system([[1.0]], [[1.0, -1.5]], _TS, [1, 1])}},
+          "noise shaping is not strictly stable (pole radius 1.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNSTABLE))
+def test_unstable_scenario_exit_code_2_at_generate(tmp_path, capsys, case):
+    # an unstable loop, plant or noise shaping is a fault of the scenario,
+    # found when it is loaded, before anything is written or simulated
+    doc, message = _UNSTABLE[case]
+    path = tmp_path / "scenario.json"
+    mio.write_json(path, doc)
+    out = tmp_path / "out"
+    rc = main(["generate", "--scenario", str(path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: scenario section" in err and message in err
+    assert not out.exists()
+
+
 def test_program_error_propagates(scenario_path, sim_dir, tmp_path,
                                   monkeypatch):
     from mrfrf import cli

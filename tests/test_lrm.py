@@ -328,12 +328,21 @@ def same_fit(a, b):
 
 def test_fit_does_not_depend_on_block_or_order():
     # a small model, then the benchmark's shapes: F=2 with a 1x2 plant
-    # (5 rows, n=23) and F=3 (7 rows, n=31)
+    # (5 rows, n=23) and F=3 (7 rows, n=31); last, both shapes with the
+    # last row zero on bins 70-130, so that bin 100's window of that row is
+    # all zero and its R22 exactly 0: a singular triangle in the blocks of
+    # bins 96-101, which must leave its block mates' conditions alone
     rng = np.random.default_rng(22)
-    for n_r, n_z, n_w, m in ((2, 3, 12, 61), (4, 5, 30, 80), (6, 7, 30, 80)):
+    for n_r, n_z, n_w, m, seed in ((2, 3, 12, 61, None), (4, 5, 30, 80, None),
+                                   (6, 7, 30, 80, None), (4, 5, 30, 160, 28),
+                                   (6, 7, 30, 160, 28)):
+        if seed is not None:
+            rng = np.random.default_rng(seed)
         cfg = LocalModelConfig(half_window=n_w)
         R = random_spectra(rng, n_r, m)
         Z = random_spectra(rng, n_z, m)
+        if seed is not None:
+            Z[-1, 70:131] = 0.0
         swept = sweep_bins(Z, R, range(m), cfg)
         order = rng.permutation(m)
         shuffled = sweep_bins(Z, R, order, cfg)
