@@ -179,9 +179,8 @@ def identify(u_h, r_h, y_l, factor, config):
     np.conj(response[half:], out=response[half:])
     sens, ps_row = response[:, :nu * F], response[:, nu * F:]
     residual, fit_cond, fallback, failed = (
-        np.array(values)[fitted] for values in zip(
-            *[(fit.residual, fit.condition, fit.fallback, fit.failed)
-              for fit in fits]))
+        np.array([getattr(fit, name) for fit in fits])[fitted]
+        for name in ("residual", "condition", "fallback", "failed"))
     messages = {j: fits[k].error if j < half else
                 f"mirror of bin {k}: {fits[k].error}"
                 for j, k in zip(np.flatnonzero(failed).tolist(),

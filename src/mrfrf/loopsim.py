@@ -53,6 +53,7 @@ class MultirateLoopSpec:
             raise RateError("controller sample time must be factor * plant's")
         if c.n_inputs != p.n_outputs or c.n_outputs != p.n_inputs:
             raise LtiError("controller must map plant outputs to plant inputs")
+        assert_stable(p, "plant")
         for w, what, n, side in (
                 (self.input_filters, "input filters", p.n_inputs, "inputs"),
                 (self.noise.shaping, "noise shaping", p.n_outputs, "outputs")):
@@ -62,10 +63,7 @@ class MultirateLoopSpec:
                 raise RateError(f"{what} must run at the fast rate")
             if w.n_inputs != n or w.n_outputs != n:
                 raise LtiError(f"{what} must be square in the plant {side}")
-        for w, what in ((p, "plant"), (self.input_filters, "input filters"),
-                        (self.noise.shaping, "noise shaping")):
-            if w is not None:
-                assert_stable(w, what)
+            assert_stable(w, what)
         lift_loop_state_space(p, c, self.factor, self.input_filters)
 
     @property
