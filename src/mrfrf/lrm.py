@@ -5,50 +5,54 @@ r = -n_w..n_w are modeled as
 
     D(r) Z(k+r) = N(r) R(k+r) + M(r) + residual,
 
-with N, M matrix polynomials in the local variable and D diagonal (one
-denominator polynomial per output row), D(0) = I, so the response matrix and
-transient vector are read directly from the solution.  The local variable is
-normalized to r/n_w for conditioning; the estimates at the center are
-basis-independent.  Windows wrap circularly because DFT spectra are periodic
-in the bin index.
+with N, M matrix polynomials in the local variable rho = r/n_w (for
+conditioning; the center estimates are basis-independent) and D diagonal,
+one denominator polynomial per output row, D(0) = I, so the response matrix
+and transient vector are read directly from the solution.  Windows wrap
+circularly because DFT spectra are periodic in the bin index.
 
 Each output row i is a least-squares problem in the columns [A1 | A2_i]: A1
 holds the excitation and transient columns, the same for every row, and A2_i
 the row's denominator columns -rho^s z_i.  Columns are scaled to unit norm,
 so the condition number measures collinearity, not the unit disparity
-between excitation, transient and output columns.  Per bin, one Householder
-QR of [A1 | A2_0 z_0 | A2_1 z_1 | ...] gives R11, the triangular factor of
-A1, and above it Q1^H A2_i and Q1^H z_i; a second QR of each row's block
-below R11 gives R22_i, the projected data and, in one more row, a full-rank
-row's residual norm (Bjorck, Numerical Methods for Least Squares Problems,
-SIAM 1996), so the regressors are built once, never multiplied out.  The
-factor T_i = [[R11, Q1^H A2_i], [0, R22_i]] has the singular values of the
-scaled regressor: its rank counts those above max(W, n) eps s_max (W window
-rows, n columns), and its condition cond_2 is s_max over the smallest
-counted one.  Both only decide which side of a threshold cond_2 is on, so a
-cheap bound settles them first: cond_F = ||T_i||_F ||T_i^-1||_F, from the
-block inverse of T_i (R11^-1 per bin; R22_i^-1 and X_i =
-R11^-1 Q1^H A2_i R22_i^-1 per row), satisfies cond_2 <= cond_F <= n cond_2
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
-ch. 6).  A row with cond_F at most L = min(condition_threshold,
-1/(max(W, n) eps)) / 2 is full rank and no fallback, and reports cond_F;
-only the other rows take an SVD of T_i for their rank and exact cond_2.  The
-reported condition is thus an upper bound within a factor n at or below L
-and exact above it, and every rank, fallback and estimate is the one the SVD
-alone would give.  The inverse that certifies a row also solves it, from its
-projected data c: theta_2 = R22_i^-1 c_2 and theta_1 = R11^-1 c_1 - X_i c_2.
-A triangle with an exact zero on its diagonal has no inverse and sends only
-its own row (R22_i) or bin (R11) to the SVD.  A rank-deficient row, or one
-without an inverse, takes the minimum-norm solution from an SVD of T_i;
-in-model data makes the denominator columns dependent while the center
-estimates stay unique, so that solution is accepted only when the null
-space has no component on them.
+between excitation, transient and output columns.  Each column of a bin's
+M = [A1 | A2_0 z_0 | A2_1 z_1 | ...] is a weight over the window times one
+signal at k + r: rho^s R_c, rho^s, -rho^s z_i, or the data z_i, unscaled.
+A sweep stacks the signals [R; Z; 1] once; a block gathers its windows into
+one C-contiguous (B, W, n_cols) M, then weights and scales it in place.  A
+strided M would sum the norms in another order and move every estimate's
+last bits.
 
-sweep_bins solves blocks of _BLOCK = 6 bins with stacked LAPACK calls,
-which factor every matrix of a stack on its own: a bin's result does not
-depend on its block or its place in it.  The calling thread solves the
-blocks in order; the fallback test, its warnings and the polynomial refits
-follow, in bin order.
+Per bin, one Householder QR of M gives R11, the triangular factor of A1, and
+above it Q1^H A2_i and Q1^H z_i; a second QR of each row's block below R11
+gives R22_i, the projected data and, in one more row, a full-rank row's
+residual norm (Bjorck, Numerical Methods for Least Squares Problems, SIAM
+1996), so M is never multiplied out.  The factor T_i = [[R11, Q1^H A2_i],
+[0, R22_i]] has the singular values of the scaled regressor: its rank counts
+those above max(W, n) eps s_max (W window rows, n columns), and its
+condition cond_2 is s_max over the smallest counted one.  Both only decide
+which side of a threshold cond_2 is on, so a cheap bound settles them
+first: cond_F = ||T_i||_F ||T_i^-1||_F, from the block inverse of T_i
+(R11^-1 per bin; R22_i^-1 and X_i = R11^-1 Q1^H A2_i R22_i^-1 per row),
+satisfies cond_2 <= cond_F <= n cond_2 (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., SIAM 2002, ch. 6).  A row with cond_F at most
+L = min(condition_threshold, 1/(max(W, n) eps)) / 2 is full rank and no
+fallback, and reports cond_F; only the other rows take an SVD of T_i for
+their rank and exact cond_2, so every rank, fallback and estimate is the one
+the SVD alone would give.  The inverse that certifies a row also solves it,
+from its projected data c: theta_2 = R22_i^-1 c_2 and
+theta_1 = R11^-1 c_1 - X_i c_2.  A triangle with an exact zero on its
+diagonal has no inverse and sends only its own row (R22_i) or bin (R11) to
+the SVD.  A rank-deficient row, or one without an inverse, takes the
+minimum-norm solution from an SVD of T_i; in-model data makes the
+denominator columns dependent while the center estimates stay unique, so
+that solution is accepted only when the null space has no component on them.
+
+sweep_bins solves blocks of _BLOCK = 6 bins with stacked LAPACK calls, which
+factor every matrix of a stack on its own: a bin's result does not depend on
+its block or its place in it.  The calling thread solves the blocks in
+order; the fallback test, its warnings and the polynomial refits follow, in
+bin order.
 """
 
 import warnings
@@ -74,6 +78,9 @@ class LocalModelConfig:
             raise LocalFitError("polynomial degrees must be nonnegative")
         if self.half_window < 1:
             raise LocalFitError("half_window must be at least 1")
+        if not self.condition_threshold > 0:
+            raise LocalFitError(f"condition_threshold must be positive, not "
+                                f"{self.condition_threshold!r}")
 
 
 def window_problem(config, n_u, n_y, factor, m):
@@ -122,35 +129,38 @@ _BLOCK = 6   # bins per stacked solve: fewer pay more Python per bin, more
              # gain no time and add their temporaries to the peak memory
 
 
-def _windows(Z, R, ks, n_w):
-    """Excitation windows (B, W, n_r) and output windows (B, n_z, W) of the
-    bins ks."""
-    rs = np.arange(-n_w, n_w + 1)
-    idx = (np.asarray(ks, dtype=int)[:, None] + rs) % Z.shape[1]
-    return np.moveaxis(R[:, idx], 0, -1), np.moveaxis(Z[:, idx], 0, 1)
+class _Regressor:
+    """The regressors of one (Z, R, config) (module doc): column c of M is
+    weight[:, c] times column sig[c] of stack, the signals [R; Z; 1] bin by
+    bin, over the window; scaled marks the columns scaled to unit norm."""
 
+    def __init__(self, Z, R, config):
+        n_z, n_r = Z.shape[0], R.shape[0]
+        self.config, self.shape = config, (n_z, n_r)
+        self.stack = np.ascontiguousarray(
+            np.vstack([R, Z, np.ones(Z.shape[1])]).T, dtype=complex)
+        self.bad = ~np.isfinite(self.stack).all(axis=1)
+        n_w = config.half_window
+        self.rs = np.arange(-n_w, n_w + 1)
+        rho = self.rs / n_w
+        cols = [(j, rho ** s) for s in range(config.degree_num + 1)
+                for j in range(n_r)]
+        cols += [(n_r + n_z, rho ** s)
+                 for s in range(config.degree_transient + 1)]
+        self.n1, self.n = len(cols), len(cols) + config.degree_den
+        den = [-(rho ** s) for s in range(1, config.degree_den + 1)]
+        cols += [(n_r + i, w) for i in range(n_z) for w in den + [None]]
+        self.sig = np.array([c for c, _ in cols])
+        self.scaled = np.array([w is not None for _, w in cols])
+        self.weight = np.stack([np.ones_like(rho) if w is None else w
+                                for _, w in cols], axis=1)
 
-def _regressors(Rw, Zw, config):
-    """The shared excitation and transient columns A1 (B, W, n1) and each
-    row's denominator columns A2 (B, n_z, W, rd) of the windows."""
-    n_w, n_r = config.half_window, Rw.shape[-1]
-    rho = np.arange(-n_w, n_w + 1) / n_w
-    n_exc = n_r * (config.degree_num + 1)
-    A1 = np.empty(Rw.shape[:2] + (n_exc + config.degree_transient + 1,),
-                  dtype=complex)
-    for s in range(config.degree_num + 1):
-        A1[..., s * n_r:(s + 1) * n_r] = (rho ** s)[:, None] * Rw
-    for s in range(config.degree_transient + 1):
-        A1[..., n_exc + s] = rho ** s
-    A2 = np.empty(Zw.shape + (config.degree_den,), dtype=complex)
-    for s in range(1, config.degree_den + 1):
-        A2[..., s - 1] = -(rho ** s) * Zw
-    return A1, A2
-
-
-def _unit_scale(A):
-    norms = np.linalg.norm(A, axis=-2, keepdims=True)
-    return np.where(norms > 0, norms, 1.0)
+    def block(self, idx):
+        """The unscaled regressors (B, W, n_cols) of the window indices idx
+        (B, W), in C order (module doc)."""
+        M = self.stack[idx].take(self.sig, axis=-1)
+        M *= self.weight
+        return M
 
 
 def _factor(R11, top, R22):
@@ -194,58 +204,42 @@ def _frobenius_condition(inv11, X, inv22):
                             + _sq_norm(inv22)))
 
 
-def _failed_result(k, Z, R, message):
-    """The result of a fit at bin k that failed for the reason message."""
-    nan_mat = np.full((Z.shape[0], R.shape[0]), np.nan + 0j)
-    nan_vec = np.full(Z.shape[0], np.nan + 0j)
-    return LocalFitResult(k, nan_mat, nan_vec, np.nan, np.inf, error=message)
+def _failed_result(k, shape, message):
+    """A fit at bin k, of shape (n_z, n_r), that failed for the reason."""
+    return LocalFitResult(k, np.full(shape, np.nan + 0j),
+                          np.full(shape[0], np.nan + 0j), np.nan, np.inf,
+                          error=message)
 
 
-def _solve(Z, R, ks, config):
-    """Fit the bins ks with the settings in config, without the fallback.
+def _solve(reg, ks):
+    """Fit the bins ks of reg with its settings, without the fallback.
 
     Returns one LocalFitResult per bin; a bin whose fit failed (an
     unidentifiable model, or a window holding a non-finite value) carries
     the reason in its error.  Stacked LAPACK calls raise LinAlgError for the
     whole block.
     """
-    n_z, n_r = Z.shape[0], R.shape[0]
-    rn, rd = config.degree_num, config.degree_den
-    W = 2 * config.half_window + 1
-    n1 = n_r * (rn + 1) + config.degree_transient + 1
-    n = n1 + rd
-    if R.shape[1] != Z.shape[1]:
-        return [_failed_result(k, Z, R, "Z and R must share the same bin grid")
-                for k in ks]
-    if W < n:
-        return [_failed_result(k, Z, R, f"window supplies {W} rows per output "
-                               f"for {n} parameters at bin {k}") for k in ks]
+    config, (n_z, n_r), n1, n = reg.config, reg.shape, reg.n1, reg.n
+    rn, rd, W = config.degree_num, config.degree_den, len(reg.rs)
     out = [None] * len(ks)
-    Rw, Zw = _windows(Z, R, ks, config.half_window)
-    finite = np.isfinite(Rw).all(axis=(1, 2)) & np.isfinite(Zw).all(axis=(1, 2))
+    idx = (np.asarray(ks)[:, None] + reg.rs) % len(reg.stack)
+    finite = ~reg.bad[idx].any(axis=1)
     for j in np.nonzero(~finite)[0]:
-        out[j] = _failed_result(ks[j], Z, R, f"least-squares solve failed "
-                                f"at bin {ks[j]}: non-finite value in the "
-                                f"window")
+        out[j] = _failed_result(ks[j], reg.shape, f"least-squares solve "
+                                f"failed at bin {ks[j]}: non-finite value in "
+                                f"the window")
     good = np.nonzero(finite)[0]
-    if not good.size:
+    if not (B := good.size):
         return out
-    if good.size < len(ks):
-        Rw, Zw = Rw[good], Zw[good]
-    B = good.size
 
-    # one QR per bin of [A1 | A2_0 z_0 | A2_1 z_1 | ...], columns scaled
-    A1, A2 = _regressors(Rw, Zw, config)
-    s1, s2 = _unit_scale(A1), _unit_scale(A2)
-    M = np.empty((B, W, n1 + n_z * (rd + 1)), dtype=complex)
-    np.divide(A1, s1, out=M[..., :n1])
-    rows = M[..., n1:].reshape(B, W, n_z, rd + 1)
-    np.divide(np.moveaxis(A2, 1, 2), np.moveaxis(s2, 1, 2),
-              out=rows[..., :rd])
-    rows[..., rd] = np.moveaxis(Zw, 1, 2)
-    del A1, A2
+    # one QR per bin of M, its columns but the data z_i scaled
+    M = reg.block(idx[good])
+    norms = np.linalg.norm(M, axis=-2, keepdims=True)
+    scale = np.where(reg.scaled & (norms > 0), norms, 1.0)
+    M /= scale
+    s1, s2 = scale[..., :n1], scale[:, 0, n1:].reshape(B, n_z, rd + 1)
     Rf = np.linalg.qr(M, mode="r")
-    del M, rows
+    del M
     R11 = Rf[:, :n1, :n1]
     top = Rf[:, :n1, n1:].reshape(B, n1, n_z, rd + 1).swapaxes(1, 2)
     # each row's columns projected off A1, reduced by a second QR to R22_i
@@ -297,7 +291,7 @@ def _solve(Z, R, ks, config):
         res_sq[b, i] += np.linalg.norm(u[:, r:].conj().T @ c) ** 2
 
     theta[..., :n1] /= s1
-    theta[..., n1:] /= s2[:, :, 0]
+    theta[..., n1:] /= s2[..., :rd]
     res = np.sqrt(res_sq.sum(axis=-1))
     leaky = (rank < n) & (leak > _NULL_LEAK_TOL)
     for b, j in enumerate(good):
@@ -305,7 +299,7 @@ def _solve(Z, R, ks, config):
         if leaky[b].any():
             i = int(np.argmax(leaky[b]))
             out[j] = _failed_result(
-                k, Z, R,
+                k, reg.shape,
                 f"rank-deficient regressor at bin {k}, output row {i}: "
                 f"estimates not identifiable (null-space leakage "
                 f"{leak[b, i]:.2e}, condition {cond[b, i]:.3e})")
@@ -316,57 +310,63 @@ def _solve(Z, R, ks, config):
     return out
 
 
-def _solve_or_split(Z, R, ks, config):
+def _solve_or_split(reg, ks):
     """_solve on the block ks; if a stacked call fails, bin by bin, and a
     bin whose own call fails is a failed result."""
     try:
-        return _solve(Z, R, ks, config)
+        return _solve(reg, ks)
     except np.linalg.LinAlgError as e:
         if len(ks) == 1:
-            return [_failed_result(ks[0], Z, R, f"least-squares solve failed "
-                                   f"at bin {ks[0]}: {e}")]
-        return [fit for k in ks for fit in _solve_or_split(Z, R, [k], config)]
+            return [_failed_result(ks[0], reg.shape, f"least-squares solve "
+                                   f"failed at bin {ks[0]}: {e}")]
+        return [fit for k in ks for fit in _solve_or_split(reg, [k])]
 
 
-def _with_fallback(Z, R, ks, fits, config):
-    """Replace fits above the condition threshold by polynomial fits
-    (degree_den 0, keeping the trigger condition), _BLOCK bins at a time.
-    Each warns, in the order of ks, at the caller of fit_local/sweep_bins."""
+def _fit(Z, R, bins, config):
+    """The fits of the bins, _BLOCK at a time from one _Regressor; above the
+    threshold, a polynomial refit (degree_den 0) keeping the trigger
+    condition, warning in bin order at the caller of fit_local/sweep_bins."""
+    m, ks = Z.shape[1], [int(k) for k in bins]
+    if R.shape[1] != m:
+        raise LocalFitError("Z and R must share the same bin grid")
+    for k in ks:
+        if not 0 <= k < m:
+            raise LocalFitError(f"center bin {k} is outside the grid of {m} "
+                                f"bins (0 ... {m - 1})")
+    reg = _Regressor(Z, R, config)
+    if len(reg.rs) < reg.n:
+        raise LocalFitError(f"window supplies {len(reg.rs)} rows per output "
+                            f"for {reg.n} parameters")
+    fits = [fit for i in range(0, len(ks), _BLOCK)
+            for fit in _solve_or_split(reg, ks[i:i + _BLOCK])]
     refit = [j for j, fit in enumerate(fits)
              if not fit.failed and config.degree_den > 0
              and fit.condition > config.condition_threshold]
+    if not refit:
+        return fits
     for j in refit:
-        warnings.warn(
-            f"condition {fits[j].condition:.3e} above threshold at bin "
-            f"{ks[j]}; falling back to a polynomial model",
-            RuntimeWarning, stacklevel=3,
-        )
-    cfg0 = replace(config, degree_den=0)
-    for start in range(0, len(refit), _BLOCK):
-        chunk = refit[start:start + _BLOCK]
-        polys = _solve_or_split(Z, R, [ks[j] for j in chunk], cfg0)
-        for j, fit in zip(chunk, polys):
-            fits[j] = fit if fit.failed else replace(
-                fit, fallback=True, condition=fits[j].condition)
+        warnings.warn(f"condition {fits[j].condition:.3e} above threshold at "
+                      f"bin {ks[j]}; falling back to a polynomial model",
+                      RuntimeWarning, stacklevel=3)
+    polys = _fit(Z, R, [ks[j] for j in refit], replace(config, degree_den=0))
+    for j, fit in zip(refit, polys):
+        fits[j] = fit if fit.failed else replace(
+            fit, fallback=True, condition=fits[j].condition)
     return fits
 
 
 def fit_local(Z, R, k, config):
-    """Fit the local model around center bin k.
+    """Fit the local model around center bin k, one of Z's M bins.
 
     Z has shape (n_z, M) (stacked outputs), R has shape (n_r, M); both are
-    full-circle spectra on the same grid.  D is diagonal, so each output row
-    is its own least-squares problem with one denominator polynomial.
-    Returns a LocalFitResult with the response matrix, transient vector,
-    residual norm, and window condition number (the worst row).  When the
-    condition exceeds the configured threshold the fit falls back to a pure
-    local polynomial (denominator fixed to identity) and the result is marked
-    accordingly.  A failed fit (an unidentifiable model, or a window with a
-    non-finite value) raises LocalFitError with the message sweep_bins
-    records for the bin.
+    full-circle spectra on the same grid.  Returns a LocalFitResult with the
+    response matrix, transient vector, residual norm, and window condition
+    number (the worst row).  Above the condition threshold the fit falls back
+    to a local polynomial (denominator fixed to identity), marked as such.  A
+    failed fit (an unidentifiable model, or a window with a non-finite value)
+    raises LocalFitError with the message sweep_bins records for the bin.
     """
-    ks = [int(k)]
-    fit, = _with_fallback(Z, R, ks, _solve_or_split(Z, R, ks, config), config)
+    fit, = _fit(Z, R, [k], config)
     if fit.failed:
         raise LocalFitError(fit.error)
     return fit
@@ -379,9 +379,7 @@ def sweep_bins(Z, R, bins, config):
     the fallback test, its warnings and the polynomial refits run in bin
     order.  Per-bin failures (an unidentifiable model, or a solve that does
     not converge) are recorded in the corresponding result instead of
-    aborting the sweep.
+    aborting the sweep.  A bin outside 0 ... M-1, Z and R on different
+    grids or a window with fewer rows than parameters raise LocalFitError.
     """
-    ks = [int(k) for k in bins]
-    fits = [fit for i in range(0, len(ks), _BLOCK)
-            for fit in _solve_or_split(Z, R, ks[i:i + _BLOCK], config)]
-    return _with_fallback(Z, R, ks, fits, config)
+    return _fit(Z, R, bins, config)
