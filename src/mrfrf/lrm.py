@@ -38,21 +38,21 @@ satisfies cond_2 <= cond_F <= n cond_2 (Higham, Accuracy and Stability of
 Numerical Algorithms, 2nd ed., SIAM 2002, ch. 6).  A row with cond_F at most
 L = min(condition_threshold, 1/(max(W, n) eps)) / 2 is full rank and no
 fallback, and reports cond_F; only the other rows take an SVD of T_i for
-their rank and exact cond_2, so every rank, fallback and estimate is the one
-the SVD alone would give.  The inverse that certifies a row also solves it,
-from its projected data c: theta_2 = R22_i^-1 c_2 and
-theta_1 = R11^-1 c_1 - X_i c_2.  A triangle with an exact zero on its
-diagonal has no inverse and sends only its own row (R22_i) or bin (R11) to
-the SVD.  A rank-deficient row, or one without an inverse, takes the
-minimum-norm solution from an SVD of T_i; in-model data makes the
-denominator columns dependent while the center estimates stay unique, so
-that solution is accepted only when the null space has no component on them.
+their rank and exact cond_2.  The reported condition is thus an upper bound
+within a factor n at or below L and exact above it, and every rank,
+fallback and estimate is the one the SVD alone would give.  The inverse
+that certifies a row also solves it, from its projected data c:
+theta_2 = R22_i^-1 c_2 and theta_1 = R11^-1 c_1 - X_i c_2.  A triangle with
+an exact zero on its diagonal has no inverse and sends only its own row
+(R22_i) or bin (R11) to the SVD.  A rank-deficient row, or one without an
+inverse, takes the minimum-norm solution from an SVD of T_i; in-model data
+makes the denominator columns dependent while the center estimates stay
+unique, so that solution is accepted only when the null space has no
+component on them.
 
 sweep_bins solves blocks of _BLOCK = 6 bins with stacked LAPACK calls, which
 factor every matrix of a stack on its own: a bin's result does not depend on
-its block or its place in it.  The calling thread solves the blocks in
-order; the fallback test, its warnings and the polynomial refits follow, in
-bin order.
+its block or its place in it (sweep_bins' doc has the order of the work).
 """
 
 import warnings

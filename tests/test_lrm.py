@@ -155,6 +155,73 @@ def test_window_too_small_raises():
     Z = random_spectra(rng, 3, 32)
     with pytest.raises(LocalFitError, match="parameters"):
         fit_local(Z, R, 5, cfg)
+    with pytest.raises(LocalFitError, match="parameters"):
+        sweep_bins(Z, R, range(32), cfg)
+
+
+@pytest.mark.parametrize("k", [200, 205, -1, -195])
+def test_center_bin_off_the_grid_raises(k):
+    # 205 and -195 are bin 5 modulo the grid, which a circular window would
+    # otherwise fit and label with the bin asked for
+    rng = np.random.default_rng(31)
+    cfg = LocalModelConfig(half_window=12)
+    R = random_spectra(rng, 2, 200)
+    Z = random_spectra(rng, 3, 200)
+    message = (rf"^center bin {k} is outside the grid of 200 bins "
+               rf"\(0 \.\.\. 199\)$")
+    with pytest.raises(LocalFitError, match=message):
+        fit_local(Z, R, k, cfg)
+    with pytest.raises(LocalFitError, match=message):
+        sweep_bins(Z, R, [5, k], cfg)
+
+
+def test_sweep_bins_rejects_spectra_on_different_grids():
+    rng = np.random.default_rng(32)
+    cfg = LocalModelConfig(half_window=12)
+    R = random_spectra(rng, 2, 64)
+    Z = random_spectra(rng, 3, 65)
+    for fit in (lambda: fit_local(Z, R, 5, cfg),
+                lambda: sweep_bins(Z, R, [5], cfg)):
+        with pytest.raises(LocalFitError, match="same bin grid"):
+            fit()
+
+
+@pytest.mark.parametrize("threshold", [np.nan, 0.0, -1.0])
+def test_condition_threshold_must_be_positive(threshold):
+    # NaN would certify no row and trigger no fallback; 0 or less would send
+    # every bin to the fallback
+    with pytest.raises(LocalFitError, match="condition_threshold must be "
+                       "positive"):
+        LocalModelConfig(condition_threshold=threshold)
+    assert LocalModelConfig(condition_threshold=np.inf).condition_threshold \
+        == np.inf
+
+
+@pytest.mark.parametrize("n_r,n_z,degree_den", [(4, 5, 3), (6, 7, 3),
+                                                (4, 5, 0)])
+def test_block_regressor_is_the_dense_regressor_bit_for_bit(n_r, n_z,
+                                                            degree_den):
+    # before scaling, each output row's columns and data in a block are the
+    # bits of validate.local_regressor's column-by-column build, at bins
+    # whose windows wrap around either end of the grid
+    rng = np.random.default_rng(29)
+    m = 160
+    cfg = LocalModelConfig(degree_den=degree_den)
+    R = random_spectra(rng, n_r, m)
+    Z = random_spectra(rng, n_z, m)
+    ks = np.array([0, 1, 37, 80, 158, 159])
+    reg = lrm._Regressor(Z, R, cfg)
+    M = reg.block((ks[:, None] + np.arange(-30, 31)) % m)
+    n1, rd = reg.n1, degree_den
+    assert M.shape == (len(ks), 61, n1 + n_z * (rd + 1))
+    assert M.flags.c_contiguous
+    for b, k in enumerate(ks):
+        for i in range(n_z):
+            A, data = local_regressor(Z, R, int(k), cfg, i)
+            at = n1 + i * (rd + 1)
+            cols = np.concatenate([M[b, :, :n1], M[b, :, at:at + rd]], axis=1)
+            assert cols.tobytes() == A.tobytes()
+            assert M[b, :, at + rd].tobytes() == data.tobytes()
 
 
 @pytest.mark.parametrize("n_u,n_y,F", [(1, 1, 1), (2, 1, 2), (2, 2, 3)])
@@ -352,6 +419,33 @@ def test_fit_does_not_depend_on_block_or_order():
             single = fit_local(Z, R, k, cfg)
             assert same_fit(swept[k], single)
             assert same_fit(by_bin[k], single)
+
+
+def test_fit_does_not_depend_on_the_memory_layout_of_the_spectra(
+        monkeypatch):
+    # a Fortran-ordered Z and a strided view of R give every bin the bytes
+    # of C-ordered copies, also where the median threshold sends half the
+    # bins to the fallback refit
+    rng = np.random.default_rng(30)
+    m, n_r, n_z = 160, 4, 5
+    R2 = random_spectra(rng, n_r, 2 * m)
+    R, Z = R2[:, ::2], np.asfortranarray(random_spectra(rng, n_z, m))
+    assert not R.flags.c_contiguous and not Z.flags.c_contiguous
+    Rc, Zc = np.ascontiguousarray(R), np.ascontiguousarray(Z)
+    cfg = LocalModelConfig()
+    median = float(np.median(exact_conditions(monkeypatch, Zc, Rc, range(m),
+                                              cfg)))
+    for config in (cfg, replace(cfg, condition_threshold=median)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            strided = sweep_bins(Z, R, range(m), config)
+            contiguous = sweep_bins(Zc, Rc, range(m), config)
+            for k in (0, 37, 159):
+                assert same_fit(fit_local(Z, R, k, config),
+                                fit_local(Zc, Rc, k, config))
+        assert any(r.fallback for r in strided) == (config is not cfg)
+        for a, b in zip(strided, contiguous):
+            assert same_fit(a, b)
 
 
 def test_fallback_bins_warn_in_order_and_equal_polynomial_fits(monkeypatch):
