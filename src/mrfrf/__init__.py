@@ -21,7 +21,7 @@ from .lti import (FrfMatrix, RationalTF, StateSpace, assert_stable,
 from .multirate import (LiftedFrf, SignalRecord, downsample, lift, lift_frf,
                         lift_loop_state_space, unlift, upsample_zoh,
                         zero_insert)
-from .spectral import (MultisineSpec, Spectrum, alias_slow_spectrum, dft, idft,
-                       multisine, predict_slow_output_steady)
+from .spectral import (MultisineSpec, alias_slow_spectrum, dft, idft, multisine,
+                       predict_slow_output_steady)
 
 __version__ = "0.1.0"

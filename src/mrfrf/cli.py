@@ -1,7 +1,8 @@
 """Command-line front end.
 
-    mrfrf generate|simulate|identify|validate|report --scenario <path>
-          --out <dir> [--seed N]
+    mrfrf generate|simulate|report --scenario <path> --out <dir> [--seed N]
+    mrfrf identify --scenario <path> --out <dir> [--seed N] [--data <dir>]
+    mrfrf validate --out <dir> [--seed N] [--mutate <fault>]
 
 Exit codes: 0 success, 1 validation failure, 2 usage/config error,
 3 data error.  Any other exception is a program error and propagates with
@@ -38,9 +39,8 @@ def _parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, scenario_required=True):
-        sp.add_argument("--scenario", required=scenario_required,
-                        help="scenario JSON path")
+    def common(sp):
+        sp.add_argument("--scenario", required=True, help="scenario JSON path")
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=mio.non_negative_int, default=None,
                         help="override the scenario seed")
@@ -52,7 +52,6 @@ def _parser():
     sp.add_argument("--data", default=None,
                     help="directory holding the signal CSVs (default: --out)")
     sp = sub.add_parser("validate", help="run the analytic self-check suites")
-    sp.add_argument("--scenario", required=False, default=None)
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=mio.non_negative_int, default=0)
     sp.add_argument("--mutate", default=None,

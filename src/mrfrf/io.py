@@ -200,8 +200,7 @@ def diagnostics_to_dict(result):
 # {"format_version": 1, "plant": {...}|{"preset": name}, "controller": ...,
 #  "filters": ...|null, "F": 2,
 #  "noise": {"eh_std": 0, "H": null, "el_std": 0, "dh_std": 0, "dh_channel": 1},
-#  "excitation": {"rms": [...], "seed": 1234, "n_samples": 3600,
-#                  "scheme": "random"},
+#  "excitation": {"rms": [...], "seed": 1234, "n_samples": 3600},
 #  "lrm": {"degree_num": 3, "degree_transient": 3, "degree_den": 3,
 #           "half_window": 30},
 #  "ts": 9.920634920634922e-06, "periods": 3, "ident_periods": 2, "seed": 1234}
@@ -242,12 +241,6 @@ def non_negative_int(value):
 def _diagonal_only(value):
     if value != "diagonal":
         raise ValueError(value)
-
-
-def _json_bool(value):
-    if not isinstance(value, bool):
-        raise ValueError(value)
-    return value
 
 
 def _spec(section, build, *args, **kwargs):
@@ -328,7 +321,7 @@ def scenario_from_dict(doc):
         raise ConfigError(f"scenario field 'noise.dh_channel' names input "
                           f"{noise.dh_channel} of a plant with "
                           f"{loop.n_inputs} inputs")
-    ed = _section(doc, "excitation", "rms seed n_samples scheme excite_dc")
+    ed = _section(doc, "excitation", "rms seed n_samples")
     seed = _field(doc, "seed", non_negative_int, 1234)
     excitation = _spec(
         "excitation", MultisineSpec,
@@ -338,8 +331,6 @@ def scenario_from_dict(doc):
         rms=_field(ed, "rms", lambda v: np.asarray(v, dtype=float),
                    BENCH_RMS[:plant.n_inputs], "excitation."),
         seed=_field(ed, "seed", non_negative_int, seed, "excitation."),
-        phase_scheme=ed.get("scheme", "random"),
-        excite_dc=_field(ed, "excite_dc", _json_bool, False, "excitation."),
     )
     ld = _section(doc, "lrm", " ".join(_LRM_KEYS) + " denominator")
     _field(ld, "denominator", _diagonal_only, "diagonal", "lrm.")
@@ -373,8 +364,6 @@ def scenario_to_dict(scenario, plant_doc=None, controller_doc=None):
             "rms": list(scenario.excitation.rms),
             "seed": scenario.excitation.seed,
             "n_samples": scenario.excitation.n_samples,
-            "scheme": scenario.excitation.phase_scheme,
-            "excite_dc": scenario.excitation.excite_dc,
         },
         "lrm": {key: getattr(scenario.lrm, key) for key in _LRM_KEYS},
         "periods": scenario.periods,

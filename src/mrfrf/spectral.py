@@ -1,9 +1,12 @@
 """DFT machinery, the downsampling aliasing identity, random-phase multisine
 generation, and the steady-state frequency-domain oracle of the closed loop.
 
-The forward DFT carries no 1/N factor: X(k) = sum_n x(n) exp(-j w_k n T); the
+A spectrum is a plain complex array of shape (channels, bins) on the
+full-circle grid; the record it came from carries the sample time.  The
+forward DFT carries no 1/N factor: X(k) = sum_n x(n) exp(-j w_k n T); the
 inverse applies 1/N.  All identities in this package are stated in that
-convention.
+convention.  The one excitation is the random-phase multisine of the paper's
+single experiment.
 """
 
 from dataclasses import dataclass
@@ -11,66 +14,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RateError, SimulationError
-from .multirate import FAST, SLOW, SignalRecord
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Complex spectrum, shape (channels, bins), on a full-circle grid."""
-
-    values: np.ndarray
-    sample_time: float
-    rate_tag: str = FAST
-
-    def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.values, dtype=complex)).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_channels(self):
-        return self.values.shape[0]
-
-    @property
-    def n_bins(self):
-        return self.values.shape[1]
+from .multirate import FAST, SignalRecord
 
 
 def dft(record):
-    """Unnormalized DFT of each channel."""
+    """Unnormalized DFT of each channel, shape (channels, bins)."""
     if record.n_samples == 0:
         raise RateError("cannot transform an empty record")
-    return Spectrum(np.fft.fft(record.data, axis=1), record.sample_time,
-                    record.rate_tag)
+    return np.fft.fft(record.data, axis=1)
 
 
 def idft(spectrum):
-    """Inverse DFT (applies 1/N); imaginary residue is discarded."""
-    x = np.fft.ifft(spectrum.values, axis=1).real
-    return SignalRecord(x, spectrum.sample_time, spectrum.rate_tag)
+    """Inverse DFT (applies 1/N) of a (channels, bins) spectrum; imaginary
+    residue is discarded."""
+    return np.fft.ifft(spectrum, axis=1).real
+
+
+def _slow_grid(n, factor):
+    """(F, M): the factor and the slow bin count n / F of an n-bin fast grid,
+    which must hold a whole number of slow grids."""
+    F = int(factor)
+    if F < 1:
+        raise RateError("factor must be a positive integer")
+    if n % F:
+        raise RateError(f"bin count {n} is not divisible by factor {F}")
+    return F, n // F
 
 
 def alias_slow_spectrum(spectrum, factor):
     """Fold a fast N-bin spectrum onto the slow grid: (1/F) sum_f X(k + f M)."""
-    F = int(factor)
-    if F < 1:
-        raise RateError("factor must be a positive integer")
-    n = spectrum.n_bins
-    if n % F:
-        raise RateError(f"bin count {n} is not divisible by factor {F}")
-    m = n // F
-    folded = spectrum.values.reshape(spectrum.n_channels, F, m).mean(axis=1)
-    return Spectrum(folded, spectrum.sample_time * F, SLOW)
+    F, m = _slow_grid(spectrum.shape[1], factor)
+    return spectrum.reshape(spectrum.shape[0], F, m).mean(axis=1)
 
 
 @dataclass(frozen=True)
 class MultisineSpec:
     """Periodic random-phase multisine description.
 
-    By default every bin except DC and the Nyquist bin is excited with a flat
-    amplitude; the realized signal is rescaled per channel so its RMS matches
-    the target exactly.  Phases come from a per-channel child of the seed so
-    each channel's spectrum is reproducible independently of the others.
+    Every bin except DC and the Nyquist bin is excited with a flat amplitude;
+    the realized signal is rescaled per channel so its RMS matches the target
+    exactly.  Phases come from a per-channel child of the seed so each
+    channel's spectrum is reproducible independently of the others.
     """
 
     n_channels: int
@@ -78,15 +62,10 @@ class MultisineSpec:
     sample_time: float
     rms: tuple
     seed: int
-    phase_scheme: str = "random"
-    amplitude: np.ndarray | None = None
-    excite_dc: bool = False
 
     def __post_init__(self):
         if self.n_samples < 2 or self.n_samples % 2:
             raise RateError("n_samples must be even and at least 2")
-        if self.phase_scheme not in ("random", "orthogonal"):
-            raise RateError("phase_scheme must be 'random' or 'orthogonal'")
         rms = np.asarray(self.rms, dtype=float).reshape(-1)
         if rms.size == 1:
             rms = np.repeat(rms, self.n_channels)
@@ -95,48 +74,24 @@ class MultisineSpec:
         if not np.all(np.isfinite(rms) & (rms >= 0)):
             raise RateError(f"rms must be finite and non-negative, "
                             f"not {rms.tolist()}")
+        if self.n_samples > 2 and not np.all(rms > 0):
+            raise RateError(f"rms must be positive on every channel of a "
+                            f"multisine that excites bins, not {rms.tolist()}")
         object.__setattr__(self, "rms", tuple(float(r) for r in rms))
-
-    def amplitude_profile(self):
-        """Amplitude per bin over the half spectrum (bins 0..N/2)."""
-        half = self.n_samples // 2
-        if self.amplitude is not None:
-            prof = np.asarray(self.amplitude, dtype=float).reshape(-1).copy()
-            if prof.size != half + 1:
-                raise RateError("amplitude profile must cover bins 0..N/2")
-        else:
-            prof = np.ones(half + 1)
-        if not self.excite_dc:
-            prof[0] = 0.0
-        prof[half] = 0.0  # the self-conjugate bin carries no random phase
-        return prof
 
 
 def multisine(spec):
     """Generate one period of the multisine described by `spec`."""
     n = spec.n_samples
-    half = n // 2
-    prof = spec.amplitude_profile()
-    if np.any(prof > 0) and any(r == 0.0 for r in spec.rms):
-        raise SimulationError("requested RMS is zero but bins are excited")
-    kk = np.arange(1, half)
-    shared = None
-    if spec.phase_scheme == "orthogonal":
-        shared_rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-        shared = shared_rng.uniform(0.0, 2.0 * np.pi, size=n)
+    kk = np.arange(1, n // 2)
     out = np.empty((spec.n_channels, n))
     for c in range(spec.n_channels):
-        if spec.phase_scheme == "random":
-            rng = np.random.default_rng(np.random.SeedSequence(spec.seed,
-                                                               spawn_key=(c,)))
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        else:
-            phases = shared + 2.0 * np.pi * c * np.arange(n) / spec.n_channels
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed,
+                                                           spawn_key=(c,)))
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
         X = np.zeros(n, dtype=complex)
-        X[kk] = prof[kk] * np.exp(1j * phases[kk])
+        X[kk] = np.exp(1j * phases[kk])
         X[n - kk] = np.conj(X[kk])
-        if spec.excite_dc:
-            X[0] = prof[0]
         x = np.fft.ifft(X).real
         level = np.sqrt(np.mean(x * x))
         out[c] = x * (spec.rms[c] / level) if level > 0 else x
@@ -164,16 +119,14 @@ def predict_slow_output_steady(plant_frf, controller_frf, factor, excitation,
         P_l(k) = (1/F) sum_f P(k+fM) W(k+fM) I_zoh(k+fM).
 
     plant_frf lives on the full fast grid (N bins), controller_frf on the full
-    slow grid (M bins); excitation is a fast-rate Spectrum.
+    slow grid (M bins); excitation is the (channels, N) spectrum of the
+    fast-rate excitation.  Returns the (outputs, M) slow-output spectrum.
     """
-    F = int(factor)
     n = plant_frf.n_bins
-    if n % F:
-        raise RateError("fast grid length must be divisible by the factor")
-    m = n // F
+    F, m = _slow_grid(n, factor)
     if controller_frf.n_bins != m:
         raise RateError("controller grid must have N/F bins")
-    if excitation.n_bins != n:
+    if excitation.shape[1] != n:
         raise RateError("excitation spectrum must live on the fast grid")
     ny, nu = plant_frf.n_outputs, plant_frf.n_inputs
     zeta = np.exp(-2j * np.pi * np.arange(n) / n)
@@ -185,7 +138,6 @@ def predict_slow_output_steady(plant_frf, controller_frf, factor, excitation,
             raise RateError("filter FRF must live on the fast grid")
         wvals = filter_frf.values
     pv = plant_frf.values
-    rv = excitation.values
     out = np.empty((ny, m), dtype=complex)
     eye = np.eye(ny)
     for k in range(m):
@@ -193,7 +145,7 @@ def predict_slow_output_steady(plant_frf, controller_frf, factor, excitation,
         plk = np.zeros((ny, nu), dtype=complex)
         for f in range(F):
             kk = k + f * m
-            drive += pv[kk] @ rv[:, kk] / F
+            drive += pv[kk] @ excitation[:, kk] / F
             plk += pv[kk] @ wvals[kk] * zoh[kk] / F
         loop = eye + plk @ controller_frf.values[k]
         try:
@@ -202,20 +154,19 @@ def predict_slow_output_steady(plant_frf, controller_frf, factor, excitation,
             raise SimulationError(
                 f"loop return difference is singular at slow bin {k}"
             ) from None
-    return Spectrum(out, plant_frf.sample_time * F, SLOW)
+    return out
 
 
 def alias_energy_split(excitation, factor):
     """Per-slow-bin share of excitation energy arriving from each fast alias.
 
-    Returns an (F, M) array of fractions summing to one per bin (uniform when
-    a bin receives no energy at all).  Low dominant shares mark bins where the
-    folded excitation poorly separates the aliased plant responses.
+    excitation is a (channels, N) fast-rate spectrum.  Returns an (F, M) array
+    of fractions summing to one per bin (uniform when a bin receives no energy
+    at all).  Low dominant shares mark bins where the folded excitation poorly
+    separates the aliased plant responses.
     """
-    F = int(factor)
-    n = excitation.n_bins
-    m = n // F
-    e = np.abs(excitation.values) ** 2
+    F, m = _slow_grid(excitation.shape[1], factor)
+    e = np.abs(excitation) ** 2
     e = e.sum(axis=0).reshape(F, m)
     tot = e.sum(axis=0)
     out = np.full((F, m), 1.0 / F)

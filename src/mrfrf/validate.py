@@ -92,14 +92,14 @@ def lift_roundtrip_error(x, F):
 
 def dft_roundtrip_error(x):
     """Largest absolute deviation of idft(dft(x)) from x."""
-    return float(np.abs(idft(dft(x)).data - x.data).max())
+    return float(np.abs(idft(dft(x)) - x.data).max())
 
 
 def aliasing_error(x, F):
     """Largest absolute deviation of the aliased fast spectrum of x from the
     spectrum of x downsampled by F."""
-    lhs = alias_slow_spectrum(dft(x), F).values
-    rhs = dft(downsample(x, F)).values
+    lhs = alias_slow_spectrum(dft(x), F)
+    rhs = dft(downsample(x, F))
     return float(np.abs(lhs - rhs).max())
 
 
@@ -172,8 +172,8 @@ def simulator_oracle_error(loop, sim):
     pred = predict_slow_output_steady(
         freq_response(loop.plant, dft_grid(n, ts)),
         freq_response(loop.controller, dft_grid(n // F, ts * F)),
-        F, dft(r), filter_frf=filters).values
-    got = dft(sim.y_l.period(-1)).values
+        F, dft(r), filter_frf=filters)
+    got = dft(sim.y_l.period(-1))
     return float(np.abs(got - pred).max() / np.abs(pred).max())
 
 

@@ -296,6 +296,10 @@ def test_bad_scenario_field_is_config_error(tmp_path, capsys):
              "n_samples"),
             ({**base, "excitation": {**base["excitation"],
                                      "rms": [-3.6e-9, 8e-8]}}, "rms"),
+            # every bin but DC and Nyquist is excited, so no level may be 0
+            ({**base, "excitation": {**base["excitation"],
+                                     "rms": [0.0, 8e-8]}},
+             "'excitation' is invalid: rms must be positive"),
             ({**base, "noise": {**base["noise"], "eh_sdt": 1e-9}},
              "['eh_sdt']"),
             ({**base, "periodz": 3}, "['periodz']"),
@@ -458,3 +462,14 @@ def test_validate_mutation_fails(tmp_path, capsys):
 def test_validate_unknown_mutation(tmp_path):
     assert main(["validate", "--out", str(tmp_path / "v"),
                  "--mutate", "nonsense"]) == 2
+
+
+def test_validate_takes_no_scenario(tmp_path, capsys):
+    # the suites draw their own cases; a scenario would be read by nothing
+    out = tmp_path / "v"
+    rc = main(["validate", "--scenario", str(tmp_path / "nonexistent.json"),
+               "--out", str(out)])
+    assert rc == 2
+    assert "unrecognized arguments: --scenario" in capsys.readouterr().err
+    assert not out.exists()
+

@@ -125,8 +125,12 @@ def test_scenario_roundtrip(tmp_path):
     ("lrm", "half_window", 0, "section 'lrm'"),
     ("lrm", "denominator", "full", "lrm[.]denominator"),
     ("lrm", "denominator", "banana", "lrm[.]denominator"),
-    ("excitation", "excite_dc", "false", "excitation.excite_dc"),
-    ("excitation", "excite_dc", 1, "excitation.excite_dc"),
+    # the one excitation takes no options
+    ("excitation", "excite_dc", False,
+     r"section 'excitation' takes only \['rms', 'seed', 'n_samples'\], "
+     r"not \['excite_dc'\]"),
+    ("excitation", "scheme", "random",
+     r"section 'excitation' .*, not \['scheme'\]"),
     # a key of None replaces the whole section, a section of None the document
     (None, None, [1, 2], "scenario document must be a JSON object"),
     ("noise", None, 5, "section 'noise' must be a JSON object"),
