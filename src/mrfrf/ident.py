@@ -61,12 +61,9 @@ def first_row_lifted_P(sens, ps_row, condition_threshold=SENS_CONDITION_LIMIT):
     above threshold) carry NaN values and are withheld rather than
     interpolated.
     """
-    sens = np.asarray(sens)
-    ps_row = np.asarray(ps_row)
-    m = sens.shape[0]
-    ny, nrf = ps_row.shape[1], ps_row.shape[2]
-    row = np.full((m, ny, nrf), np.nan + 0j)
-    cond = np.full(m, np.inf)
+    sens, ps_row = np.asarray(sens), np.asarray(ps_row)
+    row = np.full(ps_row.shape, np.nan + 0j)
+    cond = np.full(len(sens), np.inf)
     finite = np.isfinite(sens).all(axis=(1, 2))
     cond[finite] = np.linalg.cond(sens[finite])
     flagged = ~(cond <= condition_threshold)
@@ -136,8 +133,8 @@ def identify(u_h, r_h, y_l, factor, config):
 
     Local models are fitted at slow bins 0 ... m // 2 only.  Each bin j above
     m // 2 takes the complex conjugate of bin m - j, which is exact for real
-    records, and copies its residual, condition, fallback and failure; its
-    message is prefixed "mirror of bin m - j: ".
+    records, and copies its residual, both conditions, fallback and failure;
+    its message is prefixed "mirror of bin m - j: ".
     """
     F = int(factor)
     if u_h.rate_tag != FAST or r_h.rate_tag != FAST or y_l.rate_tag != SLOW:
@@ -172,11 +169,15 @@ def identify(u_h, r_h, y_l, factor, config):
 
     half = m // 2 + 1
     fits = sweep_bins(Z, R, range(half), config)
-    # real records: bin j takes its fit at min(j, m - j), conjugated on the
-    # upper half of the grid
+    # real records: bin j takes its fit and its inversion at min(j, m - j),
+    # conjugated on the upper half of the grid
     fitted = np.minimum(np.arange(m), m - np.arange(m))
-    response = np.array([fit.response for fit in fits])[fitted]
-    np.conj(response[half:], out=response[half:])
+    response = np.array([fit.response for fit in fits])
+    lifted = first_row_lifted_P(response[:, :nu * F], response[:, nu * F:])
+    response, lifted_row, sens_cond, sing = (
+        a[fitted] for a in (response, *lifted))
+    for a in (response, lifted_row):
+        np.conj(a[half:], out=a[half:])
     sens, ps_row = response[:, :nu * F], response[:, nu * F:]
     residual, fit_cond, fallback, failed = (
         np.array([getattr(fit, name) for fit in fits])[fitted]
@@ -188,8 +189,6 @@ def identify(u_h, r_h, y_l, factor, config):
     for j in (np.flatnonzero(fallback[half:]) + half).tolist():
         warnings.warn(f"mirror of bin {m - j}: bin {j} is falling back to "
                       f"a polynomial model", RuntimeWarning, stacklevel=2)
-
-    lifted_row, sens_cond, sing = first_row_lifted_P(sens, ps_row)
     failed |= sing
     for k in np.nonzero(sing)[0]:
         messages.setdefault(int(k), "lifted sensitivity near-singular")

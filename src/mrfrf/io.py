@@ -207,7 +207,10 @@ def diagnostics_to_dict(result):
 #
 # Absent "lrm" keys take LocalModelConfig's defaults; "denominator" may only
 # be "diagonal", the one local model there is.  No part of a document takes
-# a key that its reader does not name.
+# a key that its reader does not name.  "F", the period counts, the seeds,
+# "n_samples", "dh_channel" and the "lrm" degrees and window take only JSON
+# integers, and "ts", "rms" and the noise levels only JSON numbers: a bool, a
+# string or a fraction there is a ConfigError naming the field.
 
 _LRM_KEYS = ("degree_num", "degree_transient", "degree_den", "half_window")
 
@@ -236,6 +239,32 @@ def non_negative_int(value):
     if value < 0:
         raise ValueError(value)
     return value
+
+
+def _json_int(value):
+    """value, which must be a JSON integer: not a bool, a float or a string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(value)
+    return value
+
+
+def _json_seed(value):
+    """A JSON integer, which must not be negative."""
+    return non_negative_int(_json_int(value))
+
+
+def _json_float(value):
+    """float(value) of a JSON number, which must not be a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return float(value)
+
+
+def _json_floats(value):
+    """A JSON number, or a list of them, as a float array."""
+    if isinstance(value, (list, tuple)):
+        return np.array([_json_float(v) for v in value])
+    return np.array(_json_float(value))
 
 
 def _diagonal_only(value):
@@ -294,12 +323,12 @@ def scenario_from_dict(doc):
     if "preset" in doc and "plant" not in doc:
         _known_keys(doc, "scenario preset reference", "preset seed")
         return build_benchmark_scenario(
-            doc["preset"], seed=_field(doc, "seed", non_negative_int, 1234))
+            doc["preset"], seed=_field(doc, "seed", _json_seed, 1234))
     _known_keys(doc, "scenario document", "format_version ts F plant controller"
                 " filters noise excitation lrm periods ident_periods seed")
     try:
-        ts = _field(doc, "ts", float, FAST_SAMPLE_TIME)
-        factor = _field(doc, "F", int, BENCH_FACTOR)
+        ts = _field(doc, "ts", _json_float, FAST_SAMPLE_TIME)
+        factor = _field(doc, "F", _json_int, BENCH_FACTOR)
         plant = _system_from_doc(doc["plant"], ts, "plant")
         controller = _system_from_doc(doc["controller"], ts * factor,
                                       "controller")
@@ -309,10 +338,11 @@ def scenario_from_dict(doc):
     nd = _section(doc, "noise", "eh_std H el_std dh_std dh_channel")
     shaping = _system_from_doc(nd.get("H"), ts, "noise shaping")
     noise = _spec("noise", NoiseSpec,
-                  eh_std=_field(nd, "eh_std", float, 0.0, "noise."),
-                  el_std=_field(nd, "el_std", float, 0.0, "noise."),
-                  dh_std=_field(nd, "dh_std", float, 0.0, "noise."),
-                  dh_channel=_field(nd, "dh_channel", int, 1, "noise."),
+                  eh_std=_field(nd, "eh_std", _json_float, 0.0, "noise."),
+                  el_std=_field(nd, "el_std", _json_float, 0.0, "noise."),
+                  dh_std=_field(nd, "dh_std", _json_float, 0.0, "noise."),
+                  dh_channel=_field(nd, "dh_channel", _json_int, 1,
+                                    "noise."),
                   shaping=shaping)
     loop = _spec("plant/controller/filters/noise/F", MultirateLoopSpec,
                  plant, controller, factor, input_filters=filters, noise=noise)
@@ -322,24 +352,27 @@ def scenario_from_dict(doc):
                           f"{noise.dh_channel} of a plant with "
                           f"{loop.n_inputs} inputs")
     ed = _section(doc, "excitation", "rms seed n_samples")
-    seed = _field(doc, "seed", non_negative_int, 1234)
+    seed = _field(doc, "seed", _json_seed, 1234)
     excitation = _spec(
         "excitation", MultisineSpec,
         n_channels=plant.n_inputs,
-        n_samples=_field(ed, "n_samples", int, BENCH_SAMPLES, "excitation."),
+        n_samples=_field(ed, "n_samples", _json_int, BENCH_SAMPLES,
+                         "excitation."),
         sample_time=ts,
-        rms=_field(ed, "rms", lambda v: np.asarray(v, dtype=float),
-                   BENCH_RMS[:plant.n_inputs], "excitation."),
-        seed=_field(ed, "seed", non_negative_int, seed, "excitation."),
+        rms=_field(ed, "rms", _json_floats, BENCH_RMS[:plant.n_inputs],
+                   "excitation."),
+        seed=_field(ed, "seed", _json_seed, seed, "excitation."),
     )
     ld = _section(doc, "lrm", " ".join(_LRM_KEYS) + " denominator")
     _field(ld, "denominator", _diagonal_only, "diagonal", "lrm.")
     lrm = _spec("lrm", LocalModelConfig, **{
-        key: _field(ld, key, int, getattr(LocalModelConfig, key), "lrm.")
+        key: _field(ld, key, _json_int, getattr(LocalModelConfig, key),
+                    "lrm.")
         for key in _LRM_KEYS})
+    periods = _field(doc, "periods", _json_int, 3)
+    ident_periods = _field(doc, "ident_periods", _json_int, 2)
     return BenchmarkScenario(loop=loop, excitation=excitation, lrm=lrm,
-                             periods=_field(doc, "periods", int, 3),
-                             ident_periods=_field(doc, "ident_periods", int, 2),
+                             periods=periods, ident_periods=ident_periods,
                              seed=seed)
 
 

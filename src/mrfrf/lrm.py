@@ -13,48 +13,48 @@ circularly because DFT spectra are periodic in the bin index.
 
 Each output row i is a least-squares problem in the columns [A1 | A2_i]: A1
 holds the excitation and transient columns, the same for every row, and A2_i
-the row's denominator columns -rho^s z_i.  Columns are scaled to unit norm,
-so the condition number measures collinearity, not the unit disparity
-between excitation, transient and output columns.  Each column of a bin's
+the row's denominator columns -rho^s z_i.  Each column of a bin's
 M = [A1 | A2_0 z_0 | A2_1 z_1 | ...] is a weight over the window times one
-signal at k + r: rho^s R_c, rho^s, -rho^s z_i, or the data z_i, unscaled.
-A sweep stacks the signals [R; Z; 1] once; a block gathers its windows into
-one C-contiguous (B, W, n_cols) M, then weights and scales it in place.  A
-strided M would sum the norms in another order and move every estimate's
-last bits.
+signal at k + r: rho^s R_c, rho^s, -rho^s z_i, or the data z_i.  A sweep
+stacks the signals [R; Z; 1] once; a block gathers its windows into one
+(B, W, n_cols) M and weights it in place, C-contiguous for the QR's copy.
 
 Per bin, one Householder QR of M gives R11, the triangular factor of A1, and
 above it Q1^H A2_i and Q1^H z_i; a second QR of each row's block below R11
 gives R22_i, the projected data and, in one more row, a full-rank row's
 residual norm (Bjorck, Numerical Methods for Least Squares Problems, SIAM
-1996), so M is never multiplied out.  The factor T_i = [[R11, Q1^H A2_i],
-[0, R22_i]] has the singular values of the scaled regressor: its rank counts
-those above max(W, n) eps s_max (W window rows, n columns), and its
-condition cond_2 is s_max over the smallest counted one.  Both only decide
-which side of a threshold cond_2 is on, so a cheap bound settles them
-first: cond_F = ||T_i||_F ||T_i^-1||_F, from the block inverse of T_i
-(R11^-1 per bin; R22_i^-1 and X_i = R11^-1 Q1^H A2_i R22_i^-1 per row),
-satisfies cond_2 <= cond_F <= n cond_2 (Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., SIAM 2002, ch. 6).  A row with cond_F at most
-L = min(condition_threshold, 1/(max(W, n) eps)) / 2 is full rank and no
-fallback, and reports cond_F; only the other rows take an SVD of T_i for
-their rank and exact cond_2.  The reported condition is thus an upper bound
-within a factor n at or below L and exact above it, and every rank,
-fallback and estimate is the one the SVD alone would give.  The inverse
-that certifies a row also solves it, from its projected data c:
-theta_2 = R22_i^-1 c_2 and theta_1 = R11^-1 c_1 - X_i c_2.  A triangle with
-an exact zero on its diagonal has no inverse and sends only its own row
-(R22_i) or bin (R11) to the SVD.  A rank-deficient row, or one without an
-inverse, takes the minimum-norm solution from an SVD of T_i; in-model data
-makes the denominator columns dependent while the center estimates stay
-unique, so that solution is accepted only when the null space has no
-component on them.
+1996), so M is never multiplied out.  Conditions are those of the regressor
+with every column but the data scaled to unit norm, so they measure
+collinearity, not units.  M is factored unscaled: Householder QR is
+columnwise backward stable (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., SIAM 2002, ch. 19), so with S_i the column norms, read
+off R, T_i = [[R11, Q1^H A2_i], [0, R22_i]] gives the scaled factor T_i S_i^-1
+up to rounding.  Its rank counts the singular values above max(W, n) eps
+s_max (W window rows, n columns), and cond_2 is s_max over the smallest
+counted one.  Both only decide which side of a threshold cond_2 is on, so a
+cheap bound settles them first: cond_F = ||T_i S_i^-1||_F ||S_i T_i^-1||_F,
+from the block inverse of T_i (R11^-1 per bin; R22_i^-1 and X_i = R11^-1
+Q1^H A2_i R22_i^-1 per row), satisfies cond_2 <= cond_F <= n cond_2 (ibid.,
+ch. 6).  A row with cond_F at most L = min(condition_threshold,
+1/(max(W, n) eps)) / 2 is full rank and no fallback, and reports cond_F; only
+the other rows take an SVD of T_i S_i^-1 for their rank and exact cond_2.
+The reported condition is thus an upper bound within a factor n at or below
+L and exact above it, and every rank, fallback and estimate is the one the
+SVD alone would give.  The inverse that certifies a row also solves it in
+data units, from its projected data c: theta_2 = R22_i^-1 c_2 and
+theta_1 = R11^-1 c_1 - X_i c_2.  A triangle with an exact zero on its
+diagonal has no inverse and sends only its own row (R22_i) or bin (R11) to
+the SVD.  A rank-deficient row, or one without an inverse, takes the
+minimum-norm solution from that SVD, divided by S_i; in-model data makes the
+denominator columns dependent while the center estimates stay unique, so
+that solution is accepted only when the null space has no component on them.
 
 sweep_bins solves blocks of _BLOCK = 6 bins with stacked LAPACK calls, which
 factor every matrix of a stack on its own: a bin's result does not depend on
 its block or its place in it (sweep_bins' doc has the order of the work).
 """
 
+import operator
 import warnings
 from dataclasses import dataclass, replace
 
@@ -74,13 +74,24 @@ class LocalModelConfig:
     condition_threshold: float = 1e12
 
     def __post_init__(self):
-        if min(self.degree_num, self.degree_transient, self.degree_den) < 0:
-            raise LocalFitError("polynomial degrees must be nonnegative")
-        if self.half_window < 1:
-            raise LocalFitError("half_window must be at least 1")
+        for key, low in (("degree_num", 0), ("degree_transient", 0),
+                         ("degree_den", 0), ("half_window", 1)):
+            if _integer(value := getattr(self, key), key) < low:
+                raise LocalFitError(f"{key} must be at least {low}, not "
+                                    f"{value!r}")
         if not self.condition_threshold > 0:
             raise LocalFitError(f"condition_threshold must be positive, not "
                                 f"{self.condition_threshold!r}")
+
+
+def _integer(value, what):
+    """value as an int; a bool or a non-integer is a LocalFitError naming it."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise LocalFitError(f"{what} must be an integer, not {value!r}")
 
 
 def window_problem(config, n_u, n_y, factor, m):
@@ -163,22 +174,6 @@ class _Regressor:
         return M
 
 
-def _factor(R11, top, R22):
-    """T_i = [[R11, Q1^H A2_i], [0, R22_i]]; leading axes broadcast."""
-    n1, rd = R11.shape[-1], R22.shape[-1]
-    T = np.zeros(top.shape[:-2] + (n1 + rd, n1 + rd), dtype=complex)
-    T[..., :n1, :n1] = R11
-    T[..., :n1, n1:] = top
-    T[..., n1:, n1:] = R22
-    return T
-
-
-def _sq_norm(a):
-    """Squared Frobenius norms of the matrices in the stack a."""
-    flat = a.reshape(a.shape[:-2] + (-1,))
-    return np.vecdot(flat, flat).real
-
-
 def _triangle_inverse(T):
     """Inverses of the upper triangles in the stack T, NaN for a singular
     one: LU does not pivot an upper triangle, so an exact zero on its
@@ -190,18 +185,17 @@ def _triangle_inverse(T):
     return inv
 
 
-def _frobenius_condition(inv11, X, inv22):
-    """cond_F = ||T_i||_F ||T_i^-1||_F of each row's factor (B, n_z).
-
-    The columns of T_i have unit norm, so ||T_i||_F^2 = n, and T_i^-1 is
-    [[R11^-1, -X_i], [0, R22_i^-1]] with X_i = R11^-1 top_i R22_i^-1.
-    cond_2 <= cond_F <= n cond_2.  A singular triangle (a NaN inverse) leaves
-    only its own row, or for R11 its own bin, uncertified (NaN).
-    """
-    n = inv11.shape[-1] + inv22.shape[-1]
+def _frobenius_condition(inv11, X, inv22, s1, s2):
+    """cond_F = ||T_i S_i^-1||_F ||S_i T_i^-1||_F of each row (B, n_z), with
+    S_i = diag(s1, s2_i) (module doc).  The columns of T_i S_i^-1 have unit
+    norm, and S_i scales row j of T_i^-1 = [[R11^-1, -X_i], [0, R22_i^-1]] by
+    s_j, so cond_F^2 = n sum_j s_j^2 ||row_j(T_i^-1)||^2.  A singular triangle
+    (a NaN inverse) leaves only its own row, or for R11 its bin, NaN."""
+    n, w1, w2 = inv11.shape[-1] + inv22.shape[-1], s1 ** 2, s2 ** 2
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.sqrt(n * (_sq_norm(inv11)[:, None] + _sq_norm(X)
-                            + _sq_norm(inv22)))
+        sq = np.vecdot(np.vecdot(inv11, inv11).real, w1)[:, None]
+        return np.sqrt(n * (sq + np.vecdot(np.vecdot(X, X).real, w1[:, None])
+                            + np.vecdot(np.vecdot(inv22, inv22).real, w2)))
 
 
 def _failed_result(k, shape, message):
@@ -232,14 +226,12 @@ def _solve(reg, ks):
     if not (B := good.size):
         return out
 
-    # one QR per bin of M, its columns but the data z_i scaled
-    M = reg.block(idx[good])
-    norms = np.linalg.norm(M, axis=-2, keepdims=True)
+    # one QR per bin of M as gathered; the norms of R's columns are M's, and
+    # scale every column but the data z_i to unit norm (module doc)
+    Rf = np.linalg.qr(reg.block(idx[good]), mode="r")
+    norms = np.sqrt(np.vecdot(Rf, Rf, axis=-2).real)
     scale = np.where(reg.scaled & (norms > 0), norms, 1.0)
-    M /= scale
-    s1, s2 = scale[..., :n1], scale[:, 0, n1:].reshape(B, n_z, rd + 1)
-    Rf = np.linalg.qr(M, mode="r")
-    del M
+    s1, s2 = scale[:, :n1], scale[:, n1:].reshape(B, n_z, rd + 1)[..., :rd]
     R11 = Rf[:, :n1, :n1]
     top = Rf[:, :n1, n1:].reshape(B, n1, n_z, rd + 1).swapaxes(1, 2)
     # each row's columns projected off A1, reduced by a second QR to R22_i
@@ -249,26 +241,35 @@ def _solve(reg, ks):
     R2 = np.linalg.qr(trail, mode="r")
     res_sq = np.sum(np.abs(R2[..., rd:, rd]) ** 2, axis=-1)
     R2 = R2[..., :rd, :]
-    # T_i^-1 certifies each row and solves it (module doc)
+    # T_i^-1 certifies each row and solves it (module doc); R11^-1 [Q1^H A2_i
+    # | Q1^H z_i] of every row is one product
     inv11, inv22 = _triangle_inverse(R11), _triangle_inverse(R2[..., :rd])
-    c1, c2 = top[..., rd], R2[..., :rd, rd, None]
-    theta = np.empty((B, n_z, n), dtype=complex)
+    c2 = R2[..., :rd, rd, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        X = (inv11[:, None] @ top[..., :rd]) @ inv22
-        theta[..., n1:] = (inv22 @ c2)[..., 0]
-        theta[..., :n1] = c1 @ inv11.swapaxes(1, 2) - (X @ c2)[..., 0]
+        P = inv11 @ Rf[:, :n1, n1:]
+        P = P.reshape(B, n1, n_z, rd + 1).swapaxes(1, 2)
+        X = P[..., :rd] @ inv22
+        theta = np.concatenate([P[..., rd, None] - X @ c2, inv22 @ c2],
+                               axis=-2)[..., 0]
     # a row whose cond_F clears both thresholds, with a factor 2 for the
     # rounding of cond_F and cond_2, is full rank and no fallback; only the
     # other rows take the SVD for their rank and exact condition
     eps = np.finfo(float).eps
     bound = min(config.condition_threshold, 1.0 / (max(W, n) * eps)) / 2
-    cond = _frobenius_condition(inv11, X, inv22)
+    cond = _frobenius_condition(inv11, X, inv22, s1, s2)
     rank = np.full(cond.shape, n)
     doubt = ~(cond <= bound)
+
+    def scaled(b, i):
+        """T_i S_i^-1 of the rows (b, i) (module doc), and S_i's diagonal."""
+        s = np.concatenate([s1[b], s2[b, i]], axis=-1)
+        T = np.zeros(s.shape + s.shape[-1:], dtype=complex)
+        T[..., :n1, :n1], T[..., :n1, n1:] = R11[b], top[b, i, :, :rd]
+        T[..., n1:, n1:] = R2[b, i, :, :rd]
+        return T / s[..., None, :], s
+
     if doubt.any():
-        db, di = np.nonzero(doubt)
-        s = np.linalg.svd(_factor(R11[db], top[db, di, :, :rd],
-                                  R2[db, di, :, :rd]), compute_uv=False)
+        s = np.linalg.svd(scaled(*np.nonzero(doubt))[0], compute_uv=False)
         r = np.sum(s > max(W, n) * eps * s[:, :1], axis=-1)
         c = np.full(r.shape, np.inf)
         some = r > 0
@@ -283,20 +284,19 @@ def _solve(reg, ks):
     leak = np.zeros(rank.shape)
     for b, i in np.argwhere(~full):
         r = rank[b, i]
-        u, sv, vh = np.linalg.svd(
-            _factor(R11[b], top[b, i, :, :rd], R2[b, i, :, :rd]))
+        T, s = scaled(b, i)
+        u, sv, vh = np.linalg.svd(T)
         c = np.concatenate([top[b, i, :, rd], R2[b, i, :, rd]])
-        theta[b, i] = vh[:r].conj().T @ ((u[:, :r].conj().T @ c) / sv[:r])
+        theta[b, i] = vh[:r].conj().T @ ((u[:, :r].conj().T @ c) / sv[:r]) / s
         leak[b, i] = np.abs(vh[r:, watched]).max(initial=0.0) if r else 1.0
         res_sq[b, i] += np.linalg.norm(u[:, r:].conj().T @ c) ** 2
 
-    theta[..., :n1] /= s1
-    theta[..., n1:] /= s2[..., :rd]
     res = np.sqrt(res_sq.sum(axis=-1))
     leaky = (rank < n) & (leak > _NULL_LEAK_TOL)
+    withheld = leaky.any(axis=1)
     for b, j in enumerate(good):
         k = ks[j]
-        if leaky[b].any():
+        if withheld[b]:
             i = int(np.argmax(leaky[b]))
             out[j] = _failed_result(
                 k, reg.shape,
@@ -326,7 +326,7 @@ def _fit(Z, R, bins, config):
     """The fits of the bins, _BLOCK at a time from one _Regressor; above the
     threshold, a polynomial refit (degree_den 0) keeping the trigger
     condition, warning in bin order at the caller of fit_local/sweep_bins."""
-    m, ks = Z.shape[1], [int(k) for k in bins]
+    m, ks = Z.shape[1], [_integer(k, "center bin") for k in bins]
     if R.shape[1] != m:
         raise LocalFitError("Z and R must share the same bin grid")
     for k in ks:

@@ -308,7 +308,8 @@ def _rel(a, b):
 @pytest.mark.parametrize("factor,m", [(2, 120), (2, 121), (3, 80)])
 def test_identify_mirrors_the_upper_half_of_the_slow_grid(factor, m):
     # bins above m // 2 are the conjugates of the fitted half, which is what
-    # fitting them directly gives for real records
+    # fitting them directly gives for real records; the lifted row and its
+    # condition are mirrored, not inverted again
     loop, _ = bench_like_loop(np.random.default_rng(12), factor)
     cfg = LocalModelConfig(half_window=16)
     result, sim = run_ident(loop, factor * m, periods=3, config=cfg)
@@ -317,7 +318,10 @@ def test_identify_mirrors_the_upper_half_of_the_slow_grid(factor, m):
         blocks = getattr(result, name)
         assert np.array_equal(blocks[upper], blocks[m - upper].conj())
     row = result.lifted_row
-    assert _rel(row[upper], row[m - upper].conj()) < 1e-13
+    assert np.array_equal(row[upper], row[m - upper].conj())
+    for name in ("sens_condition", "failed"):
+        values = getattr(result.diagnostics, name)
+        assert np.array_equal(values[upper], values[m - upper])
 
     U, R, Y = _averaged_lifted_spectra(sim.u_h.last_periods(1),
                                        sim.r_h.last_periods(1),

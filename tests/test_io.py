@@ -167,6 +167,26 @@ def test_scenario_roundtrip(tmp_path):
      r"^plant preset reference takes only \['preset'\], not \['noise'\]$"),
     ("controller", None, {"preset": "benchmark", "variant": "q2", "gain": 2},
      r"^controller preset reference .*, not \['gain'\]$"),
+    # integer fields take only JSON integers, number fields only numbers
+    ("periods", None, 2.9, "^scenario field 'periods' has an invalid value "
+                           "2.9$"),
+    ("seed", None, 3.9, "field 'seed' .* 3.9"),
+    ("seed", None, "7", "field 'seed' .* '7'"),
+    (None, None, {"preset": "default", "seed": 7.0}, "field 'seed' .* 7.0"),
+    ("ident_periods", None, True, "field 'ident_periods' .* True"),
+    ("periods", None, "3", "field 'periods' .* '3'"),
+    ("F", None, 2.5, "field 'F' .* 2.5"),
+    ("excitation", "n_samples", 3600.7, "field 'excitation.n_samples'"),
+    ("excitation", "seed", True, "field 'excitation.seed'"),
+    ("noise", "dh_channel", 1.0, "field 'noise.dh_channel'"),
+    ("lrm", "half_window", 2.5, "field 'lrm.half_window' .* 2.5"),
+    ("lrm", "half_window", True, "field 'lrm.half_window' .* True"),
+    ("lrm", "degree_num", "3", "field 'lrm.degree_num'"),
+    ("ts", None, "9.9e-06", "field 'ts'"),
+    ("noise", "eh_std", True, "field 'noise.eh_std'"),
+    ("noise", "el_std", "0", "field 'noise.el_std'"),
+    ("excitation", "rms", ["3.6e-9", 8e-8], "field 'excitation.rms'"),
+    ("excitation", "rms", [True, 8e-8], "field 'excitation.rms'"),
 ])
 def test_scenario_bad_field_names_it(section, key, value, name):
     from mrfrf.errors import ConfigError

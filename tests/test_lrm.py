@@ -18,7 +18,8 @@ def without_certificate(monkeypatch):
     """Certify no row, so every row takes the SVD for its rank and exact
     condition."""
     monkeypatch.setattr(lrm, "_frobenius_condition",
-                        lambda R11, top, R22: np.full(top.shape[:2], np.inf))
+                        lambda inv11, X, inv22, s1, s2:
+                        np.full(X.shape[:2], np.inf))
 
 
 def exact_conditions(monkeypatch, Z, R, bins, cfg):
@@ -195,6 +196,62 @@ def test_condition_threshold_must_be_positive(threshold):
         LocalModelConfig(condition_threshold=threshold)
     assert LocalModelConfig(condition_threshold=np.inf).condition_threshold \
         == np.inf
+
+
+@pytest.mark.parametrize("key,value,reason", [
+    ("degree_num", 2.0, "an integer, not 2.0"),
+    ("degree_transient", "3", "an integer, not '3'"),
+    ("degree_den", True, "an integer, not True"),
+    ("half_window", 2.5, "an integer, not 2.5"),
+    ("degree_den", -1, "at least 0, not -1"),
+    ("half_window", 0, "at least 1, not 0"),
+])
+def test_degrees_and_half_window_must_be_integers(key, value, reason):
+    # a float degree would fail in range(); a bool or a fraction would be
+    # taken as the integer it rounds to
+    with pytest.raises(LocalFitError, match=f"^{key} must be {reason}$"):
+        LocalModelConfig(**{key: value})
+    assert getattr(LocalModelConfig(**{key: np.int64(4)}), key) == 4
+
+
+@pytest.mark.parametrize("k", [3.7, "5", True, np.True_])
+def test_center_bin_must_be_an_integer(k):
+    # int() would fit bins 3, 5 and 1 under the labels asked for
+    rng = np.random.default_rng(33)
+    cfg = LocalModelConfig(half_window=12)
+    R = random_spectra(rng, 2, 64)
+    Z = random_spectra(rng, 3, 64)
+    message = f"^center bin must be an integer, not {re.escape(repr(k))}$"
+    with pytest.raises(LocalFitError, match=message):
+        fit_local(Z, R, k, cfg)
+    with pytest.raises(LocalFitError, match=message):
+        sweep_bins(Z, R, [5, k], cfg)
+    assert sweep_bins(Z, R, [np.int64(5)], cfg)[0].center_bin == 5
+
+
+def test_condition_does_not_depend_on_units(monkeypatch):
+    # conditions are those of the unit-norm columns, so scaling an excitation
+    # channel by 1e6 and an output row by 1e-6 moves no condition, certified
+    # or exact, and scales the response column and row and the transient row
+    rng = np.random.default_rng(34)
+    m = 96
+    cfg = LocalModelConfig(half_window=12)
+    R = random_spectra(rng, 2, m)
+    Z = random_spectra(rng, 3, m)
+    col, row = np.array([1.0, 1e-6]), np.array([1e-6, 1.0, 1.0])
+    for certify in (True, False):
+        with monkeypatch.context() as patch:
+            if not certify:
+                without_certificate(patch)
+            a = sweep_bins(Z, R, range(m), cfg)
+            b = sweep_bins(row[:, None] * Z, R / col[:, None], range(m), cfg)
+        for x, y in zip(a, b):
+            assert abs(y.condition - x.condition) <= 1e-10 * x.condition
+            peak = np.abs(x.response).max()
+            assert np.abs(y.response / (row[:, None] * col) - x.response
+                          ).max() <= 1e-10 * peak
+            assert np.abs(y.transient / row - x.transient).max() \
+                <= 1e-10 * np.abs(x.transient).max()
 
 
 @pytest.mark.parametrize("n_r,n_z,degree_den", [(4, 5, 3), (6, 7, 3),
